@@ -50,6 +50,13 @@ pub const MAX_SCAN_CHAINS: usize = 4096;
 /// surfaces that select an engine at run time (test-suite builders, bench
 /// binaries, differential harnesses).
 ///
+/// Every engine reports byte-identical results; they differ only in speed.
+/// [`Incremental`](EngineKind::Incremental) is the production engine and
+/// the default, because it is the fastest at every circuit size measured
+/// (`docs/ENGINES.md`).  [`Serial`](EngineKind::Serial) is the reference
+/// and [`Deductive`](EngineKind::Deductive) the independent oracle of the
+/// differential tests.
+///
 /// This is pure configuration data — names, parsing, ordering.  Turning a
 /// kind into a running engine is the `BuildEngine` extension trait of
 /// `lsiq_fault::simulator`, which re-exports this type.
@@ -61,11 +68,11 @@ pub enum EngineKind {
     Ppsfp,
     /// All faults of one pattern at a time via arena-backed fault lists.
     Deductive,
-    /// Fault-sharded multi-threaded PPSFP — the production default.
-    #[default]
+    /// Fault-sharded multi-threaded PPSFP.
     Parallel,
-    /// Event-driven cone propagation over 64-packed words — the large-circuit
-    /// engine.
+    /// Event-driven cone propagation over 64-packed words — the production
+    /// default.
+    #[default]
     Incremental,
 }
 
@@ -95,27 +102,6 @@ impl EngineKind {
         EngineKind::ALL
             .into_iter()
             .find(|kind| kind.name().eq_ignore_ascii_case(name.trim()))
-    }
-
-    /// The engine an `auto` selection (`LSIQ_ENGINE=auto`,
-    /// [`RunConfig::with_engine_auto`]) resolves to for a circuit of
-    /// `gate_count` gates.
-    ///
-    /// The thresholds follow the measured crossovers of the engine guide
-    /// (`docs/ENGINES.md`): the arena-based deductive engine is the fastest
-    /// single pass on small-to-medium circuits (~1 000-gate scale), the
-    /// fault-sharded parallel engine wins on the LSI-class production
-    /// devices, and event-driven incremental cone propagation pulls ahead
-    /// once circuits grow past tens of thousands of gates.  Every engine is
-    /// byte-identical, so the resolution only changes wall-clock time.
-    pub fn auto_for(gate_count: usize) -> EngineKind {
-        if gate_count >= 20_000 {
-            EngineKind::Incremental
-        } else if gate_count < 1_500 {
-            EngineKind::Deductive
-        } else {
-            EngineKind::Parallel
-        }
     }
 }
 
@@ -436,8 +422,8 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A configuration with every field at its default: the parallel engine,
-    /// automatic worker count, base seed [`DEFAULT_BASE_SEED`].
+    /// A configuration with every field at its default: the incremental
+    /// engine, automatic worker count, base seed [`DEFAULT_BASE_SEED`].
     pub fn new() -> RunConfig {
         RunConfig::default()
     }
@@ -527,9 +513,10 @@ impl RunConfig {
         self
     }
 
-    /// Selects adaptive engine resolution (the `LSIQ_ENGINE=auto` knob):
-    /// each run picks its engine from the circuit size through
-    /// [`RunConfig::engine_for_size`] instead of using one fixed kind.
+    /// Selects the `LSIQ_ENGINE=auto` knob: each run resolves its engine
+    /// through [`RunConfig::engine_for_size`].  With one production engine
+    /// this is always [`EngineKind::default()`]; the knob stays accepted so
+    /// existing configurations keep working.
     pub fn with_engine_auto(mut self) -> RunConfig {
         self.engine_auto = true;
         self
@@ -577,24 +564,24 @@ impl RunConfig {
     }
 
     /// The configured fault-simulation engine.  With an `auto` selection
-    /// this is the fallback default; run sites that know their circuit call
+    /// this is the default engine; run sites that know their circuit call
     /// [`RunConfig::engine_for_size`] instead.
     pub fn engine(self) -> EngineKind {
         self.engine
     }
 
-    /// Whether the engine is resolved adaptively per run
-    /// (`LSIQ_ENGINE=auto` / [`RunConfig::with_engine_auto`]).
+    /// Whether the engine was selected as `auto` (`LSIQ_ENGINE=auto` /
+    /// [`RunConfig::with_engine_auto`]).
     pub fn engine_is_auto(self) -> bool {
         self.engine_auto
     }
 
     /// The engine a run over a circuit of `gate_count` gates should use:
     /// the explicitly configured kind, or — under an `auto` selection —
-    /// [`EngineKind::auto_for`]`(gate_count)`.
-    pub fn engine_for_size(self, gate_count: usize) -> EngineKind {
+    /// [`EngineKind::default()`], the production engine at every size.
+    pub fn engine_for_size(self, _gate_count: usize) -> EngineKind {
         if self.engine_auto {
-            EngineKind::auto_for(gate_count)
+            EngineKind::default()
         } else {
             self.engine
         }
@@ -707,26 +694,24 @@ mod tests {
         );
         assert!(EngineKind::from_name("concurrent").is_none());
         assert!("concurrent".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::default(), EngineKind::Parallel);
+        assert_eq!(EngineKind::default(), EngineKind::Incremental);
     }
 
     #[test]
     fn auto_engine_resolution_follows_circuit_size() {
-        // Small circuits: deductive (fastest single pass at ~1 000 gates).
-        assert_eq!(EngineKind::auto_for(0), EngineKind::Deductive);
-        assert_eq!(EngineKind::auto_for(1_200), EngineKind::Deductive);
-        // LSI-class production devices: the sharded parallel engine.
-        assert_eq!(EngineKind::auto_for(1_500), EngineKind::Parallel);
-        assert_eq!(EngineKind::auto_for(10_000), EngineKind::Parallel);
-        // Industrial scale: event-driven incremental cone propagation.
-        assert_eq!(EngineKind::auto_for(20_000), EngineKind::Incremental);
-        assert_eq!(EngineKind::auto_for(100_000), EngineKind::Incremental);
+        // One production engine: auto resolves to it at every size.
+        let auto = RunConfig::default().with_engine_auto();
+        assert_eq!(auto.engine_for_size(0), EngineKind::Incremental);
+        assert_eq!(auto.engine_for_size(1_200), EngineKind::Incremental);
+        assert_eq!(auto.engine_for_size(1_500), EngineKind::Incremental);
+        assert_eq!(auto.engine_for_size(10_000), EngineKind::Incremental);
+        assert_eq!(auto.engine_for_size(20_000), EngineKind::Incremental);
+        assert_eq!(auto.engine_for_size(100_000), EngineKind::Incremental);
 
         // Config plumbing: auto resolves per size, explicit choices win.
-        let auto = RunConfig::default().with_engine_auto();
         assert!(auto.engine_is_auto());
-        assert_eq!(auto.engine_for_size(100), EngineKind::Deductive);
-        assert_eq!(auto.engine_for_size(10_000), EngineKind::Parallel);
+        assert_eq!(auto.engine_for_size(100), EngineKind::Incremental);
+        assert_eq!(auto.engine_for_size(10_000), EngineKind::Incremental);
         assert_eq!(auto.engine_for_size(50_000), EngineKind::Incremental);
         assert!(auto.to_string().contains("engine = auto"), "{auto}");
         let explicit = auto.with_engine(EngineKind::Serial);
@@ -735,7 +720,7 @@ mod tests {
         assert!(!RunConfig::default().engine_is_auto());
         assert_eq!(
             RunConfig::default().engine_for_size(50_000),
-            EngineKind::Parallel
+            EngineKind::Incremental
         );
     }
 
@@ -813,7 +798,7 @@ mod tests {
         assert_eq!(config.seed_or(7), 1981);
 
         let default = RunConfig::default();
-        assert_eq!(default.engine(), EngineKind::Parallel);
+        assert_eq!(default.engine(), EngineKind::Incremental);
         assert_eq!(default.test_mode(), TestMode::Stored);
         assert_eq!(default.workers(), None);
         assert!(default.effective_workers() >= 1);
@@ -829,7 +814,7 @@ mod tests {
     fn display_names_every_field() {
         let config = RunConfig::new().with_workers(2);
         let rendered = config.to_string();
-        assert!(rendered.contains("engine = parallel"), "{rendered}");
+        assert!(rendered.contains("engine = incremental"), "{rendered}");
         assert!(rendered.contains("workers = 2"), "{rendered}");
         assert!(rendered.contains("base seed = 42"), "{rendered}");
         assert!(rendered.contains("test mode = stored"), "{rendered}");
@@ -886,7 +871,7 @@ mod tests {
         env::set_var(ENGINE_VAR, " AUTO ");
         let config = RunConfig::from_env().expect("auto engine");
         assert!(config.engine_is_auto());
-        assert_eq!(config.engine_for_size(100), EngineKind::Deductive);
+        assert_eq!(config.engine_for_size(100), EngineKind::Incremental);
         assert_eq!(config.engine_for_size(50_000), EngineKind::Incremental);
 
         env::set_var(ENGINE_VAR, "warp");

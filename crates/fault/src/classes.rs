@@ -9,44 +9,30 @@
 //! pass just carries fewer faults.  The grouping logic (and the
 //! circuit-only state it caches) lives here so the two engines cannot
 //! drift apart.
+//!
+//! Collapsing applies only when the requested universe is the circuit's
+//! full universe — the rule `TestSuiteBuilder` uses too.  Any other
+//! universe (checkpoint, scan-path-only, or one the caller has already
+//! collapsed) is simulated fault by fault, so a suite build that hands the
+//! engine its collapsed universe runs the collapsing pass exactly once.
 
 use crate::collapse::{collapse_equivalence, CollapseResult};
-use crate::universe::{FaultUniverse, SiteTable};
+use crate::universe::FaultUniverse;
 use lsiq_netlist::circuit::Circuit;
 use std::cell::OnceCell;
-
-/// The circuit-only collapsing state a simulator reuses across `run` calls
-/// (suite builders re-simulate a growing pattern set many times; the
-/// equivalence classes never change).
-#[derive(Debug)]
-pub(crate) struct CollapseContext {
-    equivalence: CollapseResult,
-    full: FaultUniverse,
-    table: SiteTable,
-}
-
-impl CollapseContext {
-    pub(crate) fn new(circuit: &Circuit) -> CollapseContext {
-        let full = FaultUniverse::full(circuit);
-        CollapseContext {
-            equivalence: collapse_equivalence(circuit),
-            table: SiteTable::new(circuit, &full),
-            full,
-        }
-    }
-}
 
 /// Partitions the universe's fault indices into groups that provably share
 /// their set of detecting patterns; each group is simulated through its
 /// first member.
 ///
-/// With `collapse` disabled every fault is its own singleton class.  The
-/// `cache` cell is lazily filled with the circuit's [`CollapseContext`] on
-/// the first collapsing call and reused afterwards, so disabling collapsing
-/// never pays for it and engines that `run` repeatedly pay for it once.
+/// With `collapse` disabled, or for a universe other than the circuit's
+/// full universe, every fault is its own singleton class.  Otherwise the
+/// `cache` cell is lazily filled with the circuit's equivalence classes on
+/// the first call and reused afterwards, so runs that never collapse never
+/// pay for them and engines that `run` repeatedly pay for them once.
 pub(crate) fn simulation_classes(
     circuit: &Circuit,
-    cache: &OnceCell<CollapseContext>,
+    cache: &OnceCell<CollapseResult>,
     collapse: bool,
     universe: &FaultUniverse,
 ) -> SimulationClasses {
@@ -54,43 +40,19 @@ pub(crate) fn simulation_classes(
         universe.len() <= u32::MAX as usize,
         "fault universe exceeds u32 index space"
     );
-    if !collapse {
+    if !collapse || !universe.is_full(circuit) {
         return SimulationClasses::identity(universe.len());
     }
-    let context = cache.get_or_init(|| CollapseContext::new(circuit));
-    // The common case is simulating exactly the full universe, where the
-    // fault → full-position mapping is the identity; otherwise resolve
-    // positions through the precomputed O(1) site table.
-    let identical = universe.faults() == context.full.faults();
-    let mut class_of: Vec<u32> = Vec::with_capacity(universe.len());
-    let mut class_of_representative: Vec<Option<u32>> =
-        vec![None; context.equivalence.collapsed.len()];
-    let mut class_count = 0u32;
-    for (index, fault) in universe.iter().enumerate() {
-        let full_position = if identical {
-            Some(index)
-        } else {
-            context.table.position(fault).map(|p| p as usize)
-        };
-        let class = match full_position.and_then(|p| context.equivalence.representative_of[p]) {
-            Some(representative) => {
-                *class_of_representative[representative].get_or_insert_with(|| {
-                    let fresh = class_count;
-                    class_count += 1;
-                    fresh
-                })
-            }
-            // A fault outside the full structural universe cannot be
-            // collapsed against it; simulate it individually.
-            None => {
-                let fresh = class_count;
-                class_count += 1;
-                fresh
-            }
-        };
-        class_of.push(class);
-    }
-    SimulationClasses::from_class_of(&class_of, class_count as usize)
+    let equivalence = cache.get_or_init(|| collapse_equivalence(circuit));
+    // Universe positions are full-universe positions, and the collapsed
+    // representatives are numbered in order of first appearance, so each
+    // fault's representative index is its class.
+    let class_of: Vec<u32> = equivalence
+        .representative_of
+        .iter()
+        .map(|representative| representative.expect("equivalence keeps every class") as u32)
+        .collect();
+    SimulationClasses::from_class_of(&class_of, equivalence.collapsed.len())
 }
 
 /// The universe fault indices of a run grouped into simulation classes, in a
@@ -181,5 +143,24 @@ mod tests {
         assert!(seen.into_iter().all(|covered| covered));
         // The cache is populated exactly once.
         assert!(cache.get().is_some());
+    }
+
+    #[test]
+    fn collapsed_universe_gets_identity_classes_without_collapsing_again() {
+        // A suite build hands the engine the universe it already collapsed;
+        // the engine must not run a second collapsing pass over it.
+        let circuit = library::alu4();
+        let collapsed = collapse_equivalence(&circuit).collapsed;
+        assert!(collapsed.len() < FaultUniverse::full(&circuit).len());
+        let cache = OnceCell::new();
+        let classes = simulation_classes(&circuit, &cache, true, &collapsed);
+        assert_eq!(classes.count(), collapsed.len());
+        for class in 0..classes.count() as u32 {
+            assert_eq!(classes.members_of(class), &[class]);
+        }
+        assert!(
+            cache.get().is_none(),
+            "collapsing ran on a non-full universe"
+        );
     }
 }

@@ -22,8 +22,8 @@
 //!
 //! # Collapsed-universe simulation
 //!
-//! By default the engine partitions the requested fault universe into
-//! structural equivalence classes
+//! By default the engine partitions the requested fault universe, when it
+//! is the circuit's full universe, into structural equivalence classes
 //! ([`collapse_equivalence`](crate::collapse::collapse_equivalence)) and
 //! propagates
 //! one representative per class; the detection of the representative is then
@@ -33,7 +33,8 @@
 //! list entries.  Disable with
 //! [`with_collapsing(false)`](DeductiveSimulator::with_collapsing).
 
-use crate::classes::{simulation_classes, CollapseContext, SimulationClasses};
+use crate::classes::{simulation_classes, SimulationClasses};
+use crate::collapse::CollapseResult;
 use crate::list::{FaultList, ListArena, ListRef};
 use crate::model::{Fault, StuckValue};
 use crate::simulator::FaultSimulator;
@@ -59,7 +60,7 @@ pub struct DeductiveSimulator<'c> {
     /// Lazily built on the first collapsing run and reused afterwards, so
     /// disabling collapsing never pays for it and suite builders that call
     /// [`run`](FaultSimulator::run) repeatedly pay for it once.
-    context: std::cell::OnceCell<CollapseContext>,
+    context: std::cell::OnceCell<CollapseResult>,
 }
 
 impl<'c> DeductiveSimulator<'c> {
@@ -88,9 +89,12 @@ impl<'c> DeductiveSimulator<'c> {
 
     /// Controls equivalence collapsing (enabled by default).
     ///
-    /// When enabled, only one representative per structural equivalence class
-    /// of the requested universe is propagated and its detections are copied
-    /// to the whole class.  The results are identical either way (enforced by
+    /// When enabled and the requested universe is the circuit's full
+    /// universe, only one representative per structural equivalence class is
+    /// propagated and its detections are copied to the whole class.  Other
+    /// universes (for example one the caller has already collapsed) are
+    /// propagated fault by fault.  The results are identical either way
+    /// (enforced by
     /// `tests/engine_differential.rs`); disabling is useful to benchmark the
     /// raw propagation or to sidestep the per-run collapsing pass on tiny
     /// circuits.

@@ -12,9 +12,9 @@
 //! word re-converged with the good machine) or runs out of circuit, so the
 //! per-fault cost is proportional to the size of the *disturbed* cone —
 //! usually a tiny fraction of the netlist — instead of the whole circuit.
-//! On large circuits (tens of thousands of gates and beyond) this is the
-//! fastest engine in the workspace; see `docs/ENGINES.md` for the full
-//! comparison.
+//! It is the fastest engine in the workspace at every circuit size
+//! measured, and therefore the production default (`EngineKind::default()`);
+//! see `docs/ENGINES.md` for the full comparison.
 //!
 //! # Event propagation
 //!
@@ -38,8 +38,11 @@
 //! # Collapsing and sharding
 //!
 //! Like the deductive engine, the incremental engine simulates one
-//! representative per structural equivalence class by default (see
-//! [`with_collapsing`](IncrementalSimulator::with_collapsing)).  Runs are
+//! representative per structural equivalence class by default when it is
+//! handed the circuit's full universe (see
+//! [`with_collapsing`](IncrementalSimulator::with_collapsing)); a universe
+//! the caller has already collapsed, as the suite builder does, is
+//! simulated as given.  Runs are
 //! single-threaded by default; binding an
 //! [`ExecutionContext`] via
 //! [`with_context`](IncrementalSimulator::with_context) (which
@@ -47,7 +50,8 @@
 //! across the pool's workers, each with its own scratch state, with results
 //! identical at any worker count.
 
-use crate::classes::{simulation_classes, CollapseContext, SimulationClasses};
+use crate::classes::{simulation_classes, SimulationClasses};
+use crate::collapse::CollapseResult;
 use crate::list::FaultList;
 use crate::model::{Fault, FaultSite};
 use crate::simulator::FaultSimulator;
@@ -120,7 +124,7 @@ pub struct IncrementalSimulator<'c> {
     cache: Option<&'c GoodMachineCache>,
     /// Lazily built on the first collapsing run and reused afterwards (see
     /// [`DeductiveSimulator`](crate::deductive::DeductiveSimulator)).
-    collapse_cache: OnceCell<CollapseContext>,
+    collapse_cache: OnceCell<CollapseResult>,
 }
 
 impl<'c> IncrementalSimulator<'c> {

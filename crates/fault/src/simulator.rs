@@ -8,12 +8,11 @@
 //!   into machine words, one fault at a time,
 //! * [`DeductiveSimulator`] — all
 //!   faults of a pattern at once via signal fault lists,
-//! * [`ParallelSimulator`] — the default
-//!   production engine: the fault universe sharded across threads, each shard
-//!   simulating 64-packed pattern words with fault dropping,
+//! * [`ParallelSimulator`] — the fault universe sharded across threads,
+//!   each shard simulating 64-packed pattern words with fault dropping,
 //! * [`IncrementalSimulator`] — event-driven cone propagation: the good
 //!   machine once per 64-pattern block, then per fault only the disturbed
-//!   fanout cone; the large-circuit engine.
+//!   fanout cone; the production engine and [`EngineKind`]'s default.
 //!
 //! All engines report *identical* detection results (the first detecting
 //! pattern of every fault, in application order); they differ only in speed.
@@ -47,18 +46,17 @@
 //!   its cost is independent of the fault-universe size regime that slows
 //!   the fault-injection engines down.
 //! * **Parallel** shards the fault universe across hardware threads on top
-//!   of the PPSFP core.  Best wall-clock on large universes with many
-//!   patterns (the production-line Monte-Carlo); pointless for tiny runs
-//!   where thread spawn dominates.
+//!   of the PPSFP core.  It still re-evaluates the whole circuit per fault,
+//!   so the incremental engine beats it at every size measured.
 //! * **Incremental** keeps the good machine per 64-pattern block and
 //!   re-evaluates only each fault's disturbed fanout cone, level by level,
 //!   until the event frontier dies.  Per-fault cost scales with the cone,
-//!   not the circuit, so it pulls ahead of deductive as circuits grow past
-//!   tens of thousands of gates (ISCAS scale and beyond).
+//!   not the circuit, so it is the fastest engine at every size measured,
+//!   from `alu4` to 50 000 gates.
 //!
-//! When in doubt: `Parallel` for throughput, `Deductive` for verification
-//! work and single-core latency on small-to-medium circuits, `Incremental`
-//! for very large circuits, `Serial` for debugging a disagreement.
+//! When in doubt: `Incremental` (the default) for every production run,
+//! `Deductive` as the independent oracle of verification work, `Serial` for
+//! debugging a disagreement.
 
 use crate::coverage::CoverageCurve;
 use crate::deductive::DeductiveSimulator;
@@ -380,6 +378,6 @@ mod tests {
         );
         assert!(EngineKind::from_name("concurrent").is_none());
         assert!("concurrent".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::default(), EngineKind::Parallel);
+        assert_eq!(EngineKind::default(), EngineKind::Incremental);
     }
 }

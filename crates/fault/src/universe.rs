@@ -25,20 +25,16 @@ impl FaultUniverse {
     /// Builds the uncollapsed fault universe: stuck-at-0 and stuck-at-1 on
     /// every stem (gate or primary-input output) and on every gate input pin.
     pub fn full(circuit: &Circuit) -> FaultUniverse {
-        let mut faults = Vec::new();
-        for (id, gate) in circuit.iter() {
-            if gate.kind() != GateKind::Const0 && gate.kind() != GateKind::Const1 {
-                for stuck in StuckValue::BOTH {
-                    faults.push(Fault::output(id, stuck));
-                }
-            }
-            for pin in 0..gate.fanin_count() {
-                for stuck in StuckValue::BOTH {
-                    faults.push(Fault::input_pin(id, pin, stuck));
-                }
-            }
+        FaultUniverse {
+            faults: full_faults(circuit).collect(),
         }
-        FaultUniverse { faults }
+    }
+
+    /// Whether this universe is exactly [`FaultUniverse::full`]`(circuit)`,
+    /// checked without building it.  Structural collapsing indexes the full
+    /// universe, so it applies only to universes that pass this test.
+    pub fn is_full(&self, circuit: &Circuit) -> bool {
+        self.faults.iter().copied().eq(full_faults(circuit))
     }
 
     /// Builds the checkpoint fault universe: stuck faults on primary inputs
@@ -105,6 +101,23 @@ impl FaultUniverse {
     pub fn site_table(&self, circuit: &Circuit) -> SiteTable {
         SiteTable::new(circuit, self)
     }
+}
+
+/// The faults of [`FaultUniverse::full`] in enumeration order.
+fn full_faults(circuit: &Circuit) -> impl Iterator<Item = Fault> + '_ {
+    circuit.iter().flat_map(|(id, gate)| {
+        let stem = gate.kind() != GateKind::Const0 && gate.kind() != GateKind::Const1;
+        let outputs = StuckValue::BOTH
+            .into_iter()
+            .filter(move |_| stem)
+            .map(move |stuck| Fault::output(id, stuck));
+        let pins = (0..gate.fanin_count()).flat_map(move |pin| {
+            StuckValue::BOTH
+                .into_iter()
+                .map(move |stuck| Fault::input_pin(id, pin, stuck))
+        });
+        outputs.chain(pins)
+    })
 }
 
 /// An O(1) fault → universe-position lookup table, indexed by fault site.
@@ -244,6 +257,20 @@ mod tests {
         unique.sort();
         unique.dedup();
         assert_eq!(unique.len(), universe.len());
+    }
+
+    #[test]
+    fn is_full_recognises_only_the_full_universe() {
+        let circuit = library::alu4();
+        let full = FaultUniverse::full(&circuit);
+        assert!(full.is_full(&circuit));
+        assert!(!FaultUniverse::checkpoint(&circuit).is_full(&circuit));
+        let mut shuffled = full.faults().to_vec();
+        shuffled.swap(0, 1);
+        assert!(!FaultUniverse::from_faults(shuffled).is_full(&circuit));
+        let truncated = full.faults()[..full.len() - 1].to_vec();
+        assert!(!FaultUniverse::from_faults(truncated).is_full(&circuit));
+        assert!(!full.is_full(&library::c17()));
     }
 
     #[test]

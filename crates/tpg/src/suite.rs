@@ -56,8 +56,8 @@ pub struct TestSuiteBuilder {
     /// Backtrack limit handed to PODEM.
     pub podem_backtracks: usize,
     /// Which fault-simulation engine evaluates the patterns (see
-    /// [`EngineKind`] for guidance; the multi-threaded parallel engine is
-    /// the default).
+    /// [`EngineKind`] for guidance; the incremental engine, the production
+    /// engine, is the default).
     pub engine: EngineKind,
     /// Apply structural equivalence collapsing before simulation (default
     /// `true`): when the supplied universe is the full universe of the
@@ -84,7 +84,7 @@ impl Default for TestSuiteBuilder {
             target_coverage: 0.95,
             podem_top_up: true,
             podem_backtracks: 200,
-            engine: EngineKind::Parallel,
+            engine: EngineKind::default(),
             collapse: true,
             lanes: LaneWidth::Auto,
         }
@@ -189,7 +189,9 @@ impl TestSuiteBuilder {
         // construction, so every reported number is unchanged (pinned by
         // `tests/suite_collapse.rs`); only applicable when the universe is
         // the circuit's full universe, which the collapsing pass indexes.
-        let collapse = if self.collapse && *universe == FaultUniverse::full(circuit) {
+        // This is the build's only collapsing pass: the engines collapse
+        // nothing but a full universe, and they are handed the collapsed one.
+        let collapse = if self.collapse && universe.is_full(circuit) {
             Some(collapse_equivalence(circuit))
         } else {
             None

@@ -215,8 +215,8 @@ impl Session {
     /// ([`run_production_line`](Self::run_production_line)): the reference
     /// programme seed, 64-pattern chunks, up to 192 random patterns, no
     /// PODEM top-up — with the session's engine choice resolved for
-    /// `circuit` (an `auto` engine picks by gate count,
-    /// [`EngineKind::auto_for`](lsiq_exec::EngineKind::auto_for)).
+    /// `circuit` (an `auto` engine resolves to the production default,
+    /// [`EngineKind::default()`](lsiq_exec::EngineKind::default)).
     ///
     /// Exposed so out-of-process services (the `lsiq-serve` artifact store)
     /// can rebuild byte-identical line suites.
@@ -667,7 +667,7 @@ mod tests {
     fn from_env_without_knobs_is_the_default_config() {
         // The test environment sets no LSIQ_* variables.
         let session = Session::from_env().expect("clean environment");
-        assert_eq!(session.config().engine(), EngineKind::Parallel);
+        assert_eq!(session.config().engine(), EngineKind::Incremental);
         assert_eq!(session.config().base_seed(), lsiq_exec::DEFAULT_BASE_SEED);
     }
 

@@ -1,8 +1,8 @@
-//! Adaptive (`LSIQ_ENGINE=auto`) engine selection: the resolved engine
-//! follows the documented gate-count thresholds, and a session under
-//! `auto` produces suites and sweeps byte-identical to a session pinned
-//! to the engine `auto` resolves to — engine choice is a speed knob,
-//! never a results knob.
+//! `LSIQ_ENGINE=auto` engine selection: with one production engine, `auto`
+//! resolves to `EngineKind::default()` on every device, and a session
+//! under `auto` produces suites and sweeps byte-identical to a session
+//! pinned to that engine — engine choice is a speed knob, never a results
+//! knob.
 
 use lsi_quality::{BistSweepSpec, Session};
 use lsiq_exec::{EngineKind, RunConfig};
@@ -11,24 +11,20 @@ use lsiq_netlist::library;
 
 #[test]
 fn auto_resolution_follows_the_size_thresholds_through_the_session() {
+    // There are no size thresholds left: auto resolves to the production
+    // engine on a small and on an LSI-class device alike.
     let session = Session::new(RunConfig::default().with_engine_auto());
     assert!(session.config().engine_is_auto());
     let alu4 = library::alu4();
     assert_eq!(
         session.line_suite_builder(&alu4).engine,
-        EngineKind::auto_for(alu4.gate_count()),
+        EngineKind::Incremental,
         "the line builder must resolve auto per device"
     );
     let reduced = Session::reproduction_circuit(false);
     assert_eq!(
         session.line_suite_builder(&reduced).engine,
-        EngineKind::auto_for(reduced.gate_count())
-    );
-    // The two devices sit in different size bands, so auto genuinely
-    // adapts rather than collapsing to one engine.
-    assert_ne!(
-        EngineKind::auto_for(alu4.gate_count()),
-        EngineKind::auto_for(reduced.gate_count())
+        EngineKind::Incremental
     );
 }
 
@@ -37,7 +33,7 @@ fn auto_and_pinned_engines_build_byte_identical_suites() {
     let circuit = library::alu4();
     let universe = FaultUniverse::full(&circuit);
     let auto_session = Session::new(RunConfig::default().with_engine_auto());
-    let resolved = EngineKind::auto_for(circuit.gate_count());
+    let resolved = EngineKind::default();
     let pinned_session = Session::new(RunConfig::default().with_engine(resolved));
 
     let build = |session: &Session| {
@@ -80,7 +76,7 @@ fn auto_and_pinned_engines_agree_on_a_bist_sweep() {
     let auto_sweep = Session::new(RunConfig::default().with_engine_auto())
         .run_bist_sweep_on(&circuit, &spec)
         .expect("auto sweep");
-    let resolved = EngineKind::auto_for(circuit.gate_count());
+    let resolved = EngineKind::default();
     let pinned_sweep = Session::new(RunConfig::default().with_engine(resolved))
         .run_bist_sweep_on(&circuit, &spec)
         .expect("pinned sweep");

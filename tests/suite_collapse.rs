@@ -8,10 +8,11 @@
 //! and requires byte-identity between the collapse-on and collapse-off
 //! builds on every engine.
 
-use lsi_quality::exec::EngineKind;
+use lsi_quality::exec::{EngineKind, RunConfig};
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::netlist::library;
 use lsi_quality::tpg::suite::TestSuiteBuilder;
+use lsi_quality::Session;
 
 #[test]
 fn collapsed_suite_coverages_match_the_golden_values() {
@@ -35,22 +36,54 @@ fn collapsed_suite_coverages_match_the_golden_values() {
 
 #[test]
 fn collapse_on_and_off_agree_on_every_engine() {
-    let circuit = library::alu4();
-    let universe = FaultUniverse::full(&circuit);
-    for engine in EngineKind::ALL {
-        let collapsed = TestSuiteBuilder {
-            engine,
-            ..TestSuiteBuilder::default()
+    // Inputs: the default builder on alu4, and the production line's
+    // builder on the reduced reproduction device.  Every engine's suite,
+    // collapsed or not, must equal the deductive oracle's suite.  On the
+    // reduced device the serial reference is out of reach, and the
+    // whole-circuit ppsfp/parallel engines take about a minute in a debug
+    // build, so they join only in release builds.
+    let alu4 = library::alu4();
+    let reduced = Session::reproduction_circuit(false);
+    let line_builder = Session::new(RunConfig::default()).line_suite_builder(&reduced);
+    assert_eq!(line_builder.engine, EngineKind::default());
+    let line_engines: &[EngineKind] = if cfg!(debug_assertions) {
+        &[EngineKind::Deductive, EngineKind::Incremental]
+    } else {
+        &EngineKind::ALL[1..]
+    };
+    let inputs = [
+        (
+            "alu4",
+            &alu4,
+            TestSuiteBuilder::default(),
+            &EngineKind::ALL[..],
+        ),
+        ("reduced line", &reduced, line_builder, line_engines),
+    ];
+    for (name, circuit, builder, engines) in inputs {
+        let universe = FaultUniverse::full(circuit);
+        let oracle = TestSuiteBuilder {
+            engine: EngineKind::Deductive,
+            ..builder
         }
-        .build(&circuit, &universe);
-        let raw = TestSuiteBuilder {
-            engine,
-            collapse: false,
-            ..TestSuiteBuilder::default()
+        .build(circuit, &universe);
+        for &engine in engines {
+            let collapsed = TestSuiteBuilder { engine, ..builder }.build(circuit, &universe);
+            let raw = TestSuiteBuilder {
+                engine,
+                collapse: false,
+                ..builder
+            }
+            .build(circuit, &universe);
+            for suite in [&collapsed, &raw] {
+                assert_eq!(suite.patterns, oracle.patterns, "{name}/{engine}");
+                assert_eq!(suite.fault_list, oracle.fault_list, "{name}/{engine}");
+                assert_eq!(
+                    suite.coverage_curve, oracle.coverage_curve,
+                    "{name}/{engine}"
+                );
+                assert_eq!(suite.dictionary, oracle.dictionary, "{name}/{engine}");
+            }
         }
-        .build(&circuit, &universe);
-        assert_eq!(collapsed.fault_list, raw.fault_list, "{engine}");
-        assert_eq!(collapsed.coverage_curve, raw.coverage_curve, "{engine}");
-        assert_eq!(collapsed.dictionary, raw.dictionary, "{engine}");
     }
 }
