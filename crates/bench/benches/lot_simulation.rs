@@ -4,8 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lsiq_fault::dictionary::FaultDictionary;
-use lsiq_fault::parallel::ParallelSimulator;
-use lsiq_fault::simulator::FaultSimulator;
+use lsiq_fault::simulator::{BuildEngine, EngineKind};
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_manufacturing::defect::DefectModel;
 use lsiq_manufacturing::lot::{ChipLot, ModelLotConfig, PhysicalLotConfig};
@@ -44,7 +43,9 @@ fn bench_lot_simulation(c: &mut Criterion) {
     let patterns: PatternSet = (0..256)
         .map(|v| Pattern::from_integer(v * 5 + 1, 10))
         .collect();
-    let list = ParallelSimulator::new(&circuit).run(&universe, &patterns);
+    let list = EngineKind::default()
+        .build(&circuit)
+        .run(&universe, &patterns);
     let dictionary = FaultDictionary::from_fault_list(&list);
     let lot = ChipLot::from_model(&ModelLotConfig {
         chips: 1_000,

@@ -11,8 +11,8 @@
 //! [`SignatureDictionary::build_in`] produces both records for a whole fault
 //! universe in one fault-simulation pass: the fault universe is sharded
 //! across the worker pool ([`ExecutionContext::scope`] via `scope_map`,
-//! exactly like the parallel fault engine), each fault's faulty responses
-//! are simulated 64 patterns at a time, and only the *error* stream
+//! like the incremental fault engine's class shards), each fault's faulty
+//! responses are simulated 64 patterns at a time, and only the *error* stream
 //! (good XOR faulty) is folded — by the fold's GF(2) linearity (the identity
 //! [`Misr::fold_error_block`] packages for a single register) a session
 //! signature mismatches exactly when the error register is non-zero at the
@@ -590,7 +590,7 @@ impl SignatureDictionary {
 }
 
 /// Minimum faults per shard; below this the scheduling overhead costs more
-/// than the parallelism recovers (mirrors the parallel fault engine).
+/// than the parallelism recovers (mirrors the incremental fault engine).
 const MIN_FAULTS_PER_SHARD: usize = 64;
 
 /// One shard's per-fault results, in shard-local fault order.

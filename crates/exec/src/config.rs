@@ -46,7 +46,7 @@ pub const MAX_WORKERS: usize = 1024;
 /// chains as scan cells, and the experiments' devices stay well under this.
 pub const MAX_SCAN_CHAINS: usize = 4096;
 
-/// Names one of the five fault-simulation engines, for configuration
+/// Names one of the three fault-simulation engines, for configuration
 /// surfaces that select an engine at run time (test-suite builders, bench
 /// binaries, differential harnesses).
 ///
@@ -64,12 +64,8 @@ pub const MAX_SCAN_CHAINS: usize = 4096;
 pub enum EngineKind {
     /// One `(pattern, fault)` pair at a time — the reference implementation.
     Serial,
-    /// 64 packed patterns, one fault at a time.
-    Ppsfp,
     /// All faults of one pattern at a time via arena-backed fault lists.
     Deductive,
-    /// Fault-sharded multi-threaded PPSFP.
-    Parallel,
     /// Event-driven cone propagation over 64-packed words — the production
     /// default.
     #[default]
@@ -78,11 +74,9 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Every engine, in cross-check order (reference first).
-    pub const ALL: [EngineKind; 5] = [
+    pub const ALL: [EngineKind; 3] = [
         EngineKind::Serial,
-        EngineKind::Ppsfp,
         EngineKind::Deductive,
-        EngineKind::Parallel,
         EngineKind::Incremental,
     ];
 
@@ -90,9 +84,7 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Serial => "serial",
-            EngineKind::Ppsfp => "ppsfp",
             EngineKind::Deductive => "deductive",
-            EngineKind::Parallel => "parallel",
             EngineKind::Incremental => "incremental",
         }
     }
@@ -116,7 +108,9 @@ impl FromStr for EngineKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         EngineKind::from_name(s).ok_or_else(|| {
-            format!("unknown fault-simulation engine {s:?} (expected serial, ppsfp, deductive, parallel or incremental)")
+            format!(
+                "unknown fault-simulation engine {s:?} (expected serial, deductive or incremental)"
+            )
         })
     }
 }
@@ -288,9 +282,8 @@ impl FromStr for LaneWidth {
 /// // to an invalid value)
 /// if let Err(error) = RunConfig::from_env() {
 ///     eprintln!("{error}");
-///     // e.g. `LSIQ_ENGINE: expected one of serial, ppsfp, deductive,
-///     // parallel or incremental, got "warp"; unset the variable to use
-///     // the default`
+///     // e.g. `LSIQ_ENGINE: expected one of auto, serial, deductive or
+///     // incremental, got "warp"; unset the variable to use the default`
 /// }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -402,10 +395,10 @@ impl fmt::Display for ScanPlan {
 /// use lsiq_exec::{EngineKind, RunConfig};
 ///
 /// let config = RunConfig::default()
-///     .with_engine(EngineKind::Ppsfp)
+///     .with_engine(EngineKind::Deductive)
 ///     .with_workers(4)
 ///     .with_base_seed(7);
-/// assert_eq!(config.engine(), EngineKind::Ppsfp);
+/// assert_eq!(config.engine(), EngineKind::Deductive);
 /// assert_eq!(config.workers(), Some(4));
 /// assert_eq!(config.base_seed(), 7);
 /// ```
@@ -445,7 +438,7 @@ impl RunConfig {
                     ConfigError::new(
                         ENGINE_VAR,
                         value.clone(),
-                        "one of auto, serial, ppsfp, deductive, parallel or incremental",
+                        "one of auto, serial, deductive or incremental",
                     )
                 })?;
             }
@@ -692,8 +685,11 @@ mod tests {
             EngineKind::from_name("  Deductive "),
             Some(EngineKind::Deductive)
         );
-        assert!(EngineKind::from_name("concurrent").is_none());
-        assert!("concurrent".parse::<EngineKind>().is_err());
+        for unknown in ["concurrent", "ppsfp", "parallel"] {
+            assert!(EngineKind::from_name(unknown).is_none(), "{unknown}");
+            assert!(unknown.parse::<EngineKind>().is_err(), "{unknown}");
+        }
+        assert_eq!(EngineKind::ALL.len(), 3);
         assert_eq!(EngineKind::default(), EngineKind::Incremental);
     }
 
@@ -881,13 +877,21 @@ mod tests {
         let message = error.to_string();
         assert!(message.contains("LSIQ_ENGINE"), "{message}");
         assert!(
-            message.contains("serial, ppsfp, deductive, parallel or incremental"),
+            message.contains("one of auto, serial, deductive or incremental"),
             "{message}"
         );
-        assert!(message.contains("auto"), "{message}");
         assert!(message.contains("unset the variable"), "{message}");
 
-        env::set_var(ENGINE_VAR, "parallel");
+        // Removed engine names are typed errors, not panics.
+        for removed in ["ppsfp", "parallel"] {
+            env::set_var(ENGINE_VAR, removed);
+            let error = RunConfig::from_env().expect_err("removed engine");
+            assert_eq!(error.variable(), ENGINE_VAR);
+            assert_eq!(error.value(), removed);
+            assert!(error.to_string().contains("LSIQ_ENGINE"), "{error}");
+        }
+
+        env::set_var(ENGINE_VAR, "serial");
         env::set_var(WORKERS_VAR, "0");
         let error = RunConfig::from_env().expect_err("zero workers");
         assert_eq!(error.variable(), WORKERS_VAR);

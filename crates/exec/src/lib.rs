@@ -12,12 +12,12 @@
 //!   a builder or fallibly from the environment in exactly one place
 //!   ([`RunConfig::from_env`], the *only* `LSIQ_*` parsing site in the
 //!   workspace), returning a [`ConfigError`] instead of a panic;
-//! * [`EngineKind`] — the names of the five fault-simulation engines
+//! * [`EngineKind`] — the names of the three fault-simulation engines
 //!   (instantiating them lives in `lsiq-fault`, which this crate does not
 //!   depend on);
 //! * [`ExecutionContext`] — a persistent pool of parked worker threads with
 //!   a scoped fork-join API ([`ExecutionContext::scope`]).  Every parallel
-//!   stage of the reproduction — fault-universe sharding, lot generation,
+//!   stage of the reproduction — fault-class sharding, lot generation,
 //!   wafer test, reject tabulation, `(y, n0)` sweeps — runs on one such
 //!   pool, so worker threads are spawned once per session and reused across
 //!   all sweep points instead of respawned per call.

@@ -266,7 +266,7 @@ pub fn collapse_dominance(circuit: &Circuit) -> CollapseResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ppsfp::PpsfpSimulator;
+    use crate::serial::SerialSimulator;
     use crate::simulator::FaultSimulator;
     use lsiq_netlist::library;
     use lsiq_sim::pattern::{Pattern, PatternSet};
@@ -320,7 +320,7 @@ mod tests {
             .collect();
         let full = FaultUniverse::full(&circuit);
         let equivalence = collapse_equivalence(&circuit);
-        let sim = PpsfpSimulator::new(&circuit);
+        let sim = SerialSimulator::new(&circuit);
         let full_list = sim.run(&full, &patterns);
         let collapsed_list = sim.run(&equivalence.collapsed, &patterns);
         let expanded = equivalence.expand_fault_list(&collapsed_list, &full);
@@ -333,7 +333,7 @@ mod tests {
         let circuit = library::c17();
         let patterns: PatternSet = (0..8).map(|v| Pattern::from_integer(v, 5)).collect();
         let dominance = collapse_dominance(&circuit);
-        let collapsed_list = PpsfpSimulator::new(&circuit).run(&dominance.collapsed, &patterns);
+        let collapsed_list = SerialSimulator::new(&circuit).run(&dominance.collapsed, &patterns);
         let _ = dominance.expand_fault_list(&collapsed_list, &FaultUniverse::full(&circuit));
     }
 
@@ -354,7 +354,7 @@ mod tests {
         let circuit = library::c17();
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
         let result = collapse_equivalence(&circuit);
-        let sim = PpsfpSimulator::new(&circuit);
+        let sim = SerialSimulator::new(&circuit);
         let collapsed_list = sim.run(&result.collapsed, &patterns);
         assert_eq!(collapsed_list.detected_count(), result.collapsed.len());
     }
@@ -381,7 +381,7 @@ mod tests {
             let full = FaultUniverse::full(circuit);
             let equivalence = collapse_equivalence(circuit);
             assert!(equivalence.ratio() < 1.0, "{name}: nothing collapsed");
-            let sim = PpsfpSimulator::new(circuit);
+            let sim = SerialSimulator::new(circuit);
             let full_list = sim.run(&full, &patterns);
             let collapsed_list = sim.run(&equivalence.collapsed, &patterns);
             assert_eq!(
@@ -425,7 +425,7 @@ mod tests {
                 .collect();
             let full = FaultUniverse::full(circuit);
             let equivalence = collapse_equivalence(circuit);
-            let sim = PpsfpSimulator::new(circuit);
+            let sim = SerialSimulator::new(circuit);
             let full_list = sim.run(&full, &patterns);
             let collapsed_list = sim.run(&equivalence.collapsed, &patterns);
             for (index, representative) in equivalence.representative_of.iter().enumerate() {
@@ -463,7 +463,7 @@ mod tests {
                 dominance.collapsed.len() < equivalence.collapsed.len(),
                 "{name}: dominance removed nothing"
             );
-            let sim = PpsfpSimulator::new(circuit);
+            let sim = SerialSimulator::new(circuit);
             let dominance_list = sim.run(&dominance.collapsed, &patterns);
             let full_list = sim.run(&FaultUniverse::full(circuit), &patterns);
             assert_eq!(dominance_list.coverage(), 1.0, "{name}");

@@ -1,8 +1,7 @@
 //! Event-driven incremental fault simulation.
 //!
-//! The four other engines re-evaluate the full circuit per fault
-//! ([serial](crate::serial), [PPSFP](crate::ppsfp),
-//! [parallel](crate::parallel)) or per pattern
+//! The two other engines re-evaluate the full circuit per (pattern, fault)
+//! pair ([serial](crate::serial)) or per pattern
 //! ([deductive](crate::deductive)).  This engine exploits the observation
 //! that a single stuck-at fault disturbs only its *fanout cone*: the good
 //! machine is evaluated **once** per 64-pattern block, and each fault then
@@ -31,9 +30,10 @@
 //! Whenever a disturbed gate is a primary output, the XOR of its faulty and
 //! good words (masked to the block's valid patterns) is accumulated; the
 //! first set bit of the accumulated word is the fault's earliest detecting
-//! pattern within the block.  This reproduces the PPSFP rule exactly, so
-//! the reported [`FaultList`] is byte-identical to every other engine
-//! (enforced by `tests/engine_differential.rs`).
+//! pattern within the block.  This is the serial reference's
+//! first-failing-pattern rule, so the reported [`FaultList`] is
+//! byte-identical to every other engine (enforced by
+//! `tests/engine_differential.rs`).
 //!
 //! # Collapsing and sharding
 //!
@@ -46,7 +46,8 @@
 //! single-threaded by default; binding an
 //! [`ExecutionContext`] via
 //! [`with_context`](IncrementalSimulator::with_context) (which
-//! `EngineKind::build_in` does automatically) shards the simulation classes
+//! `BuildEngine::build_configured` does when `EngineOptions::context` is
+//! set) shards the simulation classes
 //! across the pool's workers, each with its own scratch state, with results
 //! identical at any worker count.
 
@@ -154,11 +155,12 @@ impl<'c> IncrementalSimulator<'c> {
         self
     }
 
-    /// Shares a [`GoodMachineCache`] for the per-chunk good-machine images
-    /// (see
-    /// [`PpsfpSimulator::with_cache`](crate::ppsfp::PpsfpSimulator::with_cache)).
-    /// The incremental engine benefits the most: it keeps the *full*
-    /// per-gate image per chunk, exactly what the cache stores.
+    /// Shares a [`GoodMachineCache`]: the per-chunk good-machine images are
+    /// looked up (and on a miss deposited) there instead of being
+    /// recomputed, so repeated runs over the same patterns — a coverage
+    /// loop, a signature sweep — pay for the fault-free simulation once.
+    /// The engine keeps the *full* per-gate image per chunk, exactly what
+    /// the cache stores, so a hit is used in place without a copy.
     pub fn with_cache(mut self, cache: &'c GoodMachineCache) -> Self {
         self.cache = Some(cache);
         self
@@ -491,7 +493,6 @@ fn simulate_shard<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ppsfp::PpsfpSimulator;
     use crate::serial::SerialSimulator;
     use lsiq_netlist::generator::{random_circuit, RandomCircuitConfig};
     use lsiq_netlist::library;
@@ -516,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_ppsfp_on_random_logic_across_blocks() {
+    fn matches_serial_on_random_logic_across_blocks() {
         let circuit = random_circuit(&RandomCircuitConfig {
             inputs: 11,
             gates: 140,
@@ -526,9 +527,9 @@ mod tests {
         let universe = FaultUniverse::full(&circuit);
         // More than 64 patterns so detection indices cross block boundaries.
         let patterns = random_patterns(11, 150, 5);
-        let ppsfp = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+        let serial = SerialSimulator::new(&circuit).run(&universe, &patterns);
         let incremental = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
-        assert_eq!(ppsfp, incremental);
+        assert_eq!(serial, incremental);
     }
 
     #[test]
@@ -541,6 +542,34 @@ mod tests {
         let serial = SerialSimulator::new(&circuit).run(&universe, &patterns);
         let incremental = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         assert_eq!(serial, incremental);
+    }
+
+    #[test]
+    fn exhaustive_patterns_fully_cover_the_alu() {
+        let circuit = library::alu4();
+        let universe = FaultUniverse::full(&circuit);
+        let patterns: PatternSet = (0..1024).map(|v| Pattern::from_integer(v, 10)).collect();
+        let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
+        // The ALU contains a small amount of redundancy (its adder carry-in
+        // is tied to constant 0), so a handful of faults are untestable;
+        // everything else must be detected by the exhaustive set.
+        assert!(list.coverage() > 0.95, "coverage {}", list.coverage());
+    }
+
+    #[test]
+    fn coverage_grows_monotonically_with_more_patterns() {
+        let circuit = library::alu4();
+        let universe = FaultUniverse::full(&circuit);
+        let few = random_patterns(10, 8, 1);
+        let many = random_patterns(10, 64, 1);
+        let coverage_few = IncrementalSimulator::new(&circuit)
+            .run(&universe, &few)
+            .coverage();
+        let coverage_many = IncrementalSimulator::new(&circuit)
+            .run(&universe, &many)
+            .coverage();
+        assert!(coverage_many >= coverage_few);
+        assert!(coverage_few > 0.0);
     }
 
     #[test]
@@ -562,19 +591,25 @@ mod tests {
 
     #[test]
     fn fault_dropping_does_not_change_results() {
-        let circuit = random_circuit(&RandomCircuitConfig {
+        let random = random_circuit(&RandomCircuitConfig {
             inputs: 10,
             gates: 110,
             seed: 61,
             ..RandomCircuitConfig::default()
         });
-        let universe = FaultUniverse::full(&circuit);
-        let patterns = random_patterns(10, 130, 17);
-        let dropped = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
-        let undropped = IncrementalSimulator::new(&circuit)
-            .with_fault_dropping(false)
-            .run(&universe, &patterns);
-        assert_eq!(dropped, undropped);
+        let exhaustive: PatternSet = (0..1024).map(|v| Pattern::from_integer(v, 10)).collect();
+        let cases = [
+            (random, random_patterns(10, 130, 17)),
+            (library::alu4(), exhaustive),
+        ];
+        for (circuit, patterns) in &cases {
+            let universe = FaultUniverse::full(circuit);
+            let dropped = IncrementalSimulator::new(circuit).run(&universe, patterns);
+            let undropped = IncrementalSimulator::new(circuit)
+                .with_fault_dropping(false)
+                .run(&universe, patterns);
+            assert_eq!(dropped, undropped);
+        }
     }
 
     #[test]
@@ -624,6 +659,35 @@ mod tests {
             .run(&universe, &patterns);
         assert_eq!(reference, replay);
         assert!(cache.hits() > before);
+    }
+
+    #[test]
+    fn lane_widths_and_cache_commute_with_sharding() {
+        let circuit = random_circuit(&RandomCircuitConfig {
+            inputs: 11,
+            gates: 130,
+            seed: 37,
+            ..RandomCircuitConfig::default()
+        });
+        let universe = FaultUniverse::full(&circuit);
+        let patterns: PatternSet = (0..1 << 9).map(|v| Pattern::from_integer(v, 9)).collect();
+        let reference = IncrementalSimulator::new(&circuit)
+            .with_threads(1)
+            .run(&universe, &patterns);
+        let cache = GoodMachineCache::new();
+        for lanes in LaneWidth::EXPLICIT {
+            for threads in [1, 3] {
+                let list = IncrementalSimulator::new(&circuit)
+                    .with_lanes(lanes)
+                    .with_threads(threads)
+                    .with_cache(&cache)
+                    .run(&universe, &patterns);
+                assert_eq!(reference, list, "lanes = {lanes}, threads = {threads}");
+            }
+        }
+        // Each lane width misses once per chunk, then the re-run at the same
+        // width hits.
+        assert!(cache.hits() > 0 && cache.misses() > 0);
     }
 
     #[test]

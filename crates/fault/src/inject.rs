@@ -3,7 +3,8 @@
 //! These functions mirror the good-machine passes of
 //! [`CompiledCircuit`] but force the
 //! faulty line to its stuck value during evaluation.  They are shared by the
-//! serial and parallel-pattern fault simulators.
+//! serial fault simulator and the BIST signature path
+//! (`lsiq_bist::signature`).
 
 use crate::model::{Fault, FaultSite};
 use lsiq_netlist::GateKind;

@@ -1,15 +1,11 @@
 //! The common interface of every fault-simulation engine.
 //!
-//! Five engines implement [`FaultSimulator`]:
+//! Three engines implement [`FaultSimulator`], one per role:
 //!
 //! * [`SerialSimulator`] — one fault, one
 //!   pattern at a time; the reference implementation,
-//! * [`PpsfpSimulator`] — 64 patterns packed
-//!   into machine words, one fault at a time,
 //! * [`DeductiveSimulator`] — all
-//!   faults of a pattern at once via signal fault lists,
-//! * [`ParallelSimulator`] — the fault universe sharded across threads,
-//!   each shard simulating 64-packed pattern words with fault dropping,
+//!   faults of a pattern at once via signal fault lists; the oracle,
 //! * [`IncrementalSimulator`] — event-driven cone propagation: the good
 //!   machine once per 64-pattern block, then per fault only the disturbed
 //!   fanout cone; the production engine and [`EngineKind`]'s default.
@@ -21,33 +17,23 @@
 //!
 //! # Choosing an engine
 //!
-//! Pick by workload shape; [`EngineKind`] names the five choices for
-//! configuration knobs (`TestSuiteBuilder::engine`, the `LSIQ_ENGINE`
-//! environment variable of the bench binaries).  The full guide with data
-//! structures, complexity and a decision table is `docs/ENGINES.md`; in
-//! brief:
+//! [`EngineKind`] names the three choices for configuration knobs
+//! (`TestSuiteBuilder::engine`, the `LSIQ_ENGINE` environment variable of
+//! the bench binaries).  The full guide with data structures, complexity
+//! and a decision table is `docs/ENGINES.md`; in brief:
 //!
 //! * **Serial** re-simulates the whole circuit for every `(pattern, fault)`
 //!   pair — `O(patterns × faults × gates)`.  It exists to be obviously
 //!   correct; use it only as a cross-check oracle on small circuits.
-//! * **PPSFP** cuts the pattern dimension by 64 with packed words.  Strong
-//!   when patterns are plentiful and the fault count is moderate, and the
-//!   per-run setup is the cheapest of the fast engines, so it also wins on
-//!   very small circuits.
 //! * **Deductive** removes the fault dimension entirely: one topological
 //!   pass per pattern computes every signal's *fault list* (the set of
 //!   faults that would complement it).  Lists are sorted interned `u32`
 //!   slices in a bump [`ListArena`](crate::list::ListArena) — merges are
 //!   linear scans, handles are shared instead of copied, and all buffers
 //!   are reused across patterns — and by default only one representative
-//!   per structural equivalence class is propagated.  This makes it the
-//!   fastest single-threaded engine by roughly an order of magnitude on
-//!   LSI-scale circuits and the natural *oracle* for differential tests:
-//!   its cost is independent of the fault-universe size regime that slows
-//!   the fault-injection engines down.
-//! * **Parallel** shards the fault universe across hardware threads on top
-//!   of the PPSFP core.  It still re-evaluates the whole circuit per fault,
-//!   so the incremental engine beats it at every size measured.
+//!   per structural equivalence class is propagated.  Its algorithm shares
+//!   nothing with cone propagation, which makes it the natural *oracle* for
+//!   differential tests.
 //! * **Incremental** keeps the good machine per 64-pattern block and
 //!   re-evaluates only each fault's disturbed fanout cone, level by level,
 //!   until the event frontier dies.  Per-fault cost scales with the cone,
@@ -62,8 +48,6 @@ use crate::coverage::CoverageCurve;
 use crate::deductive::DeductiveSimulator;
 use crate::incremental::IncrementalSimulator;
 use crate::list::FaultList;
-use crate::parallel::ParallelSimulator;
-use crate::ppsfp::PpsfpSimulator;
 use crate::serial::SerialSimulator;
 use crate::universe::FaultUniverse;
 use lsiq_exec::{ExecutionContext, LaneWidth};
@@ -101,35 +85,20 @@ pub trait FaultSimulator {
     }
 }
 
-/// Instantiation of fault-simulation engines from [`EngineKind`] values.
-///
-/// `EngineKind` itself lives in `lsiq_exec` (pure configuration data, so a
-/// `RunConfig` can carry it without a dependency cycle); this extension
-/// trait supplies the constructors and is implemented for `EngineKind`
-/// alone.  Import it alongside the kind:
-///
-/// ```
-/// use lsiq_fault::simulator::{BuildEngine, EngineKind};
-/// use lsiq_netlist::library;
-///
-/// let circuit = library::c17();
-/// let engine = EngineKind::Deductive.build(&circuit);
-/// assert_eq!(engine.name(), "deductive");
-/// ```
 /// Everything an engine build can be configured with, in one bundle.
 ///
 /// Each engine applies the options it understands and ignores the rest:
-/// the serial and deductive engines are word-oriented and single-threaded,
-/// so only `fault_dropping` reaches them; PPSFP adds `lanes` and `cache`;
-/// the parallel and incremental engines honour all four fields.
+/// the serial and deductive engines are single-threaded and unpacked, so
+/// only `fault_dropping` reaches them; the incremental engine honours all
+/// four fields.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions<'c> {
-    /// Persistent worker pool for the sharding engines (`None` uses the
-    /// process-wide default pool).
+    /// Persistent worker pool the incremental engine shards its simulation
+    /// classes across (`None` runs single-threaded).
     pub context: Option<&'c ExecutionContext>,
-    /// Packed lane width for the chunked engines.
+    /// Packed lane width for the incremental engine.
     pub lanes: LaneWidth,
-    /// Shared good-machine cache for the chunked engines.
+    /// Shared good-machine cache for the incremental engine.
     pub cache: Option<&'c GoodMachineCache>,
     /// Whether detected faults are dropped from further simulation.
     pub fault_dropping: bool,
@@ -146,33 +115,32 @@ impl Default for EngineOptions<'_> {
     }
 }
 
+/// Instantiation of fault-simulation engines from [`EngineKind`] values.
+///
+/// `EngineKind` itself lives in `lsiq_exec` (pure configuration data, so a
+/// `RunConfig` can carry it without a dependency cycle); this extension
+/// trait supplies the constructors and is implemented for `EngineKind`
+/// alone.  Import it alongside the kind:
+///
+/// ```
+/// use lsiq_fault::simulator::{BuildEngine, EngineKind};
+/// use lsiq_netlist::library;
+///
+/// let circuit = library::c17();
+/// let engine = EngineKind::Deductive.build(&circuit);
+/// assert_eq!(engine.name(), "deductive");
+/// ```
 pub trait BuildEngine {
     /// Instantiates the engine for `circuit` with its default settings
-    /// (fault dropping on; collapsing on for the deductive engine).
+    /// (fault dropping on; collapsing on for the deductive and incremental
+    /// engines).
     fn build<'c>(self, circuit: &'c Circuit) -> Box<dyn FaultSimulator + 'c>;
 
-    /// Instantiates the engine with an explicit fault-dropping mode.
-    fn build_with_fault_dropping<'c>(
-        self,
-        circuit: &'c Circuit,
-        fault_dropping: bool,
-    ) -> Box<dyn FaultSimulator + 'c>;
-
-    /// Instantiates the engine bound to a persistent [`ExecutionContext`]:
-    /// the parallel engine shards its fault universe (and the incremental
-    /// engine its simulation classes) across the context's pooled workers
-    /// instead of the process-wide default pool, and the single-threaded
-    /// engines simply run on the calling thread (which may itself be one of
-    /// the context's workers).
-    fn build_in<'c>(
-        self,
-        context: &'c ExecutionContext,
-        circuit: &'c Circuit,
-    ) -> Box<dyn FaultSimulator + 'c>;
-
-    /// Instantiates the engine with a full [`EngineOptions`] bundle.  The
-    /// other constructors are shorthands for this one; engines apply the
-    /// options they understand and ignore the rest.
+    /// Instantiates the engine with a full [`EngineOptions`] bundle;
+    /// engines apply the options they understand and ignore the rest.  A
+    /// bound `context` shards the incremental engine's simulation classes
+    /// across the pool's workers; the single-threaded engines simply run on
+    /// the calling thread (which may itself be one of the pool's workers).
     fn build_configured<'c>(
         self,
         circuit: &'c Circuit,
@@ -185,34 +153,6 @@ impl BuildEngine for EngineKind {
         self.build_configured(circuit, &EngineOptions::default())
     }
 
-    fn build_with_fault_dropping<'c>(
-        self,
-        circuit: &'c Circuit,
-        fault_dropping: bool,
-    ) -> Box<dyn FaultSimulator + 'c> {
-        self.build_configured(
-            circuit,
-            &EngineOptions {
-                fault_dropping,
-                ..EngineOptions::default()
-            },
-        )
-    }
-
-    fn build_in<'c>(
-        self,
-        context: &'c ExecutionContext,
-        circuit: &'c Circuit,
-    ) -> Box<dyn FaultSimulator + 'c> {
-        self.build_configured(
-            circuit,
-            &EngineOptions {
-                context: Some(context),
-                ..EngineOptions::default()
-            },
-        )
-    }
-
     fn build_configured<'c>(
         self,
         circuit: &'c Circuit,
@@ -222,30 +162,9 @@ impl BuildEngine for EngineKind {
             EngineKind::Serial => {
                 Box::new(SerialSimulator::new(circuit).with_fault_dropping(options.fault_dropping))
             }
-            EngineKind::Ppsfp => {
-                let mut engine = PpsfpSimulator::new(circuit)
-                    .with_fault_dropping(options.fault_dropping)
-                    .with_lanes(options.lanes);
-                if let Some(cache) = options.cache {
-                    engine = engine.with_cache(cache);
-                }
-                Box::new(engine)
-            }
             EngineKind::Deductive => Box::new(
                 DeductiveSimulator::new(circuit).with_fault_dropping(options.fault_dropping),
             ),
-            EngineKind::Parallel => {
-                let mut engine = ParallelSimulator::new(circuit)
-                    .with_fault_dropping(options.fault_dropping)
-                    .with_lanes(options.lanes);
-                if let Some(context) = options.context {
-                    engine = engine.with_context(context);
-                }
-                if let Some(cache) = options.cache {
-                    engine = engine.with_cache(cache);
-                }
-                Box::new(engine)
-            }
             EngineKind::Incremental => {
                 let mut engine = IncrementalSimulator::new(circuit)
                     .with_fault_dropping(options.fault_dropping)
@@ -265,9 +184,6 @@ impl BuildEngine for EngineKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::ParallelSimulator;
-    use crate::ppsfp::PpsfpSimulator;
-    use crate::serial::SerialSimulator;
     use lsiq_netlist::library;
     use lsiq_sim::pattern::Pattern;
 
@@ -277,9 +193,9 @@ mod tests {
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
         let serial = SerialSimulator::new(&circuit);
-        let ppsfp = PpsfpSimulator::new(&circuit);
-        let parallel = ParallelSimulator::new(&circuit);
-        let engines: Vec<&dyn FaultSimulator> = vec![&serial, &ppsfp, &parallel];
+        let deductive = DeductiveSimulator::new(&circuit);
+        let incremental = IncrementalSimulator::new(&circuit);
+        let engines: Vec<&dyn FaultSimulator> = vec![&serial, &deductive, &incremental];
         for engine in engines {
             let list = engine.run(&universe, &patterns);
             assert_eq!(list.detected_count(), universe.len(), "{}", engine.name());
@@ -291,7 +207,7 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..8).map(|v| Pattern::from_integer(v, 5)).collect();
-        let engine = PpsfpSimulator::new(&circuit);
+        let engine = IncrementalSimulator::new(&circuit);
         let curve = engine.coverage_curve(&universe, &patterns);
         let manual =
             CoverageCurve::from_fault_list(&engine.run(&universe, &patterns), patterns.len());
@@ -300,14 +216,20 @@ mod tests {
     }
 
     #[test]
-    fn build_in_runs_every_engine_on_an_explicit_context() {
+    fn configured_context_runs_every_engine_on_an_explicit_pool() {
         let context = lsiq_exec::ExecutionContext::new(2);
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
         let reference = EngineKind::Serial.build(&circuit).run(&universe, &patterns);
         for kind in EngineKind::ALL {
-            let engine = kind.build_in(&context, &circuit);
+            let engine = kind.build_configured(
+                &circuit,
+                &EngineOptions {
+                    context: Some(&context),
+                    ..Default::default()
+                },
+            );
             assert_eq!(engine.name(), kind.name());
             assert_eq!(engine.run(&universe, &patterns), reference, "{kind}");
         }
@@ -325,7 +247,13 @@ mod tests {
                 engine.run(&universe, &patterns).detected_count(),
                 universe.len()
             );
-            let undropped = kind.build_with_fault_dropping(&circuit, false);
+            let undropped = kind.build_configured(
+                &circuit,
+                &EngineOptions {
+                    fault_dropping: false,
+                    ..Default::default()
+                },
+            );
             assert_eq!(
                 undropped.run(&universe, &patterns).detected_count(),
                 universe.len()
@@ -360,8 +288,20 @@ mod tests {
                 );
             }
         }
-        // The chunked engines routed their good machines through the cache.
+        // The incremental engine routed its good machines through the cache,
+        // and a rebuild at a width it already ran replays them.
         assert!(cache.misses() > 0);
+        let replay = EngineKind::Incremental
+            .build_configured(
+                &circuit,
+                &EngineOptions {
+                    lanes: LaneWidth::X8,
+                    cache: Some(&cache),
+                    ..Default::default()
+                },
+            )
+            .run(&universe, &patterns);
+        assert_eq!(replay, reference);
         assert!(cache.hits() > 0);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The 1981 study measured fault coverage on a production LSI chip tested
 //! through its scan interface.  This module provides the design-for-test
-//! transformation that makes the rest of the workspace — five combinational
+//! transformation that makes the rest of the workspace — three combinational
 //! fault-simulation engines, STUMPS pattern generation, MISR compaction —
 //! applicable to sequential devices without any per-engine changes:
 //!

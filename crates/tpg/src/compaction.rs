@@ -11,12 +11,11 @@
 //! deductive engine (its per-pattern cost is independent of the shrinking
 //! fault-universe size, which makes it ~an order of magnitude faster here
 //! than the fault-injection engines), and
-//! [`reverse_order_compaction_with`] accepts any [`EngineKind`] plus an
-//! optional [`ExecutionContext`] so the parallel engine can run on a
+//! [`reverse_order_compaction_configured`] accepts any [`EngineKind`] plus
+//! an [`EngineOptions`] bundle, so the incremental engine can run on a
 //! session's persistent worker pool.  Every engine produces byte-identical
 //! compaction results.
 
-use lsiq_exec::ExecutionContext;
 use lsiq_fault::simulator::{BuildEngine, EngineKind, EngineOptions};
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_netlist::circuit::Circuit;
@@ -53,39 +52,24 @@ pub fn reverse_order_compaction(
     universe: &FaultUniverse,
     patterns: &PatternSet,
 ) -> CompactionResult {
-    reverse_order_compaction_with(circuit, universe, patterns, EngineKind::Deductive, None)
-}
-
-/// Compacts `patterns` against `universe` with an explicit engine choice,
-/// optionally executing on a persistent worker pool (the parallel engine
-/// shards its faults across `context`; the single-threaded engines run on
-/// the calling thread).  The kept patterns are identical for every engine
-/// and worker count.
-pub fn reverse_order_compaction_with(
-    circuit: &Circuit,
-    universe: &FaultUniverse,
-    patterns: &PatternSet,
-    engine: EngineKind,
-    context: Option<&ExecutionContext>,
-) -> CompactionResult {
     reverse_order_compaction_configured(
         circuit,
         universe,
         patterns,
-        engine,
-        &EngineOptions {
-            context,
-            ..EngineOptions::default()
-        },
+        EngineKind::Deductive,
+        &EngineOptions::default(),
     )
 }
 
-/// Compacts `patterns` with a fully explicit [`EngineOptions`] bundle: a
-/// worker pool, a packed lane width, and optionally a shared
+/// Compacts `patterns` with an explicit engine and [`EngineOptions`]
+/// bundle: a worker pool (the incremental engine shards its simulation
+/// classes across it; the single-threaded engines run on the calling
+/// thread), a packed lane width, and optionally a shared
 /// [`GoodMachineCache`](lsiq_sim::cache::GoodMachineCache) so the full-set
 /// simulations at the start and end of the pass reuse good-machine chunks
 /// deposited by an earlier suite build or sweep over the same patterns.
-/// The kept patterns are identical for every option combination.
+/// The kept patterns are identical for every engine and option
+/// combination.
 pub fn reverse_order_compaction_configured(
     circuit: &Circuit,
     universe: &FaultUniverse,
@@ -160,6 +144,7 @@ pub fn reverse_order_compaction_configured(
 mod tests {
     use super::*;
     use crate::random::RandomPatternGenerator;
+    use lsiq_exec::ExecutionContext;
     use lsiq_netlist::library;
 
     #[test]
@@ -225,8 +210,13 @@ mod tests {
         let patterns = RandomPatternGenerator::new(&circuit, 21).generate(60);
         let reference = reverse_order_compaction(&circuit, &universe, &patterns);
         for engine in EngineKind::ALL {
-            let result =
-                reverse_order_compaction_with(&circuit, &universe, &patterns, engine, None);
+            let result = reverse_order_compaction_configured(
+                &circuit,
+                &universe,
+                &patterns,
+                engine,
+                &EngineOptions::default(),
+            );
             assert_eq!(
                 result.compacted.as_slice(),
                 reference.compacted.as_slice(),
@@ -247,32 +237,26 @@ mod tests {
         let patterns = RandomPatternGenerator::new(&circuit, 13).generate(120);
         let reference = reverse_order_compaction(&circuit, &universe, &patterns);
         let cache = GoodMachineCache::new();
-        for engine in [
-            EngineKind::Ppsfp,
-            EngineKind::Parallel,
-            EngineKind::Incremental,
-        ] {
-            for lanes in LaneWidth::EXPLICIT {
-                let result = reverse_order_compaction_configured(
-                    &circuit,
-                    &universe,
-                    &patterns,
-                    engine,
-                    &EngineOptions {
-                        lanes,
-                        cache: Some(&cache),
-                        ..EngineOptions::default()
-                    },
-                );
-                assert_eq!(
-                    result.compacted.as_slice(),
-                    reference.compacted.as_slice(),
-                    "{engine}/{lanes}"
-                );
-            }
+        for lanes in LaneWidth::EXPLICIT {
+            let result = reverse_order_compaction_configured(
+                &circuit,
+                &universe,
+                &patterns,
+                EngineKind::Incremental,
+                &EngineOptions {
+                    lanes,
+                    cache: Some(&cache),
+                    ..EngineOptions::default()
+                },
+            );
+            assert_eq!(
+                result.compacted.as_slice(),
+                reference.compacted.as_slice(),
+                "{lanes}"
+            );
         }
-        // Nine engine×lane passes over the same full pattern set: after the
-        // first pass per lane width, the good machine replays from the cache.
+        // Three lane-width passes over the same full pattern set: the good
+        // machine is deposited in the cache and replayed from it.
         assert!(cache.hits() > 0);
         assert!(cache.misses() > 0);
     }
@@ -285,12 +269,15 @@ mod tests {
         let reference = reverse_order_compaction(&circuit, &universe, &patterns);
         for workers in [1, 3] {
             let context = ExecutionContext::new(workers);
-            let result = reverse_order_compaction_with(
+            let result = reverse_order_compaction_configured(
                 &circuit,
                 &universe,
                 &patterns,
-                EngineKind::Parallel,
-                Some(&context),
+                EngineKind::Incremental,
+                &EngineOptions {
+                    context: Some(&context),
+                    ..EngineOptions::default()
+                },
             );
             assert_eq!(
                 result.compacted.as_slice(),

@@ -69,7 +69,7 @@ pub struct TestSuiteBuilder {
     /// percent fewer faults.  Ignored for non-full universes, whose indices
     /// the circuit-level collapsing pass cannot map.
     pub collapse: bool,
-    /// Packed lane width for the chunked engines (see [`LaneWidth`]; the
+    /// Packed lane width for the incremental engine (see [`LaneWidth`]; the
     /// suite is byte-identical at every width, lanes only change
     /// throughput).  Ignored by the serial and deductive engines.
     pub lanes: LaneWidth,
@@ -150,7 +150,7 @@ impl TestSuiteBuilder {
     /// optional persistent worker pool and an optional shared
     /// [`GoodMachineCache`].  The suite build re-simulates a growing
     /// pattern set — each iteration re-evaluates every chunk it has already
-    /// seen — so the chunked engines recover the fault-free simulation of
+    /// seen — so the incremental engine recovers the fault-free simulation of
     /// all previous chunks from the cache.  Results are byte-identical with
     /// or without either resource.
     pub fn build_cached(
@@ -381,25 +381,19 @@ mod tests {
         let circuit = library::alu4();
         let universe = FaultUniverse::full(&circuit);
         let reference = TestSuiteBuilder::default().build(&circuit, &universe);
-        for engine in [
-            EngineKind::Ppsfp,
-            EngineKind::Parallel,
-            EngineKind::Incremental,
-        ] {
-            for lanes in LaneWidth::EXPLICIT {
-                let suite = TestSuiteBuilder {
-                    engine,
-                    lanes,
-                    ..TestSuiteBuilder::default()
-                }
-                .build(&circuit, &universe);
-                assert_eq!(
-                    suite.patterns.as_slice(),
-                    reference.patterns.as_slice(),
-                    "{engine}/{lanes}"
-                );
-                assert_eq!(suite.fault_list, reference.fault_list, "{engine}/{lanes}");
+        for lanes in LaneWidth::EXPLICIT {
+            let suite = TestSuiteBuilder {
+                engine: EngineKind::Incremental,
+                lanes,
+                ..TestSuiteBuilder::default()
             }
+            .build(&circuit, &universe);
+            assert_eq!(
+                suite.patterns.as_slice(),
+                reference.patterns.as_slice(),
+                "{lanes}"
+            );
+            assert_eq!(suite.fault_list, reference.fault_list, "{lanes}");
         }
 
         // The growing random phase re-simulates earlier chunks each

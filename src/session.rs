@@ -617,13 +617,13 @@ mod tests {
     fn session_bundles_config_and_pool() {
         let session = Session::new(
             RunConfig::default()
-                .with_engine(EngineKind::Ppsfp)
+                .with_engine(EngineKind::Deductive)
                 .with_workers(2)
                 .with_base_seed(7),
         );
-        assert_eq!(session.config().engine(), EngineKind::Ppsfp);
+        assert_eq!(session.config().engine(), EngineKind::Deductive);
         assert_eq!(session.context().workers(), 2);
-        assert_eq!(session.suite_builder().engine, EngineKind::Ppsfp);
+        assert_eq!(session.suite_builder().engine, EngineKind::Deductive);
         assert_eq!(session.lot_runner().threads_for(100_000), 2);
     }
 

@@ -17,8 +17,6 @@ use lsi_quality::exec::ExecutionContext;
 use lsi_quality::fault::deductive::DeductiveSimulator;
 use lsi_quality::fault::dictionary::FaultDictionary;
 use lsi_quality::fault::incremental::IncrementalSimulator;
-use lsi_quality::fault::parallel::ParallelSimulator;
-use lsi_quality::fault::ppsfp::PpsfpSimulator;
 use lsi_quality::fault::serial::SerialSimulator;
 use lsi_quality::fault::simulator::FaultSimulator;
 use lsi_quality::fault::universe::FaultUniverse;
@@ -64,18 +62,16 @@ fn sharded_merge_totals_are_worker_count_invariant() {
         .map(|n| n.get())
         .unwrap_or(1);
 
+    let serial = SerialSimulator::new(&circuit).run(&universe, &patterns);
     obs::set_mode(MetricsMode::Json);
     let mut reference: Option<[u64; 4]> = None;
     for workers in [1, 2, 2 * cores] {
         let context = ExecutionContext::new(workers);
         obs::reset();
-        let parallel = ParallelSimulator::new(&circuit)
-            .with_context(&context)
-            .run(&universe, &patterns);
         let incremental = IncrementalSimulator::new(&circuit)
             .with_context(&context)
             .run(&universe, &patterns);
-        assert_eq!(parallel.detected_count(), incremental.detected_count());
+        assert_eq!(serial, incremental, "{workers} workers");
         let totals = engine_totals(&obs::snapshot());
         assert!(
             totals.iter().all(|&t| t > 0),
@@ -117,8 +113,8 @@ fn recording_never_changes_engine_results() {
     assert_eq!(off, json, "fault lists must be byte-identical");
     // The off pass recorded nothing; the json pass recorded every engine.
     assert_eq!(engine_totals(&silent), [0; 4]);
-    assert_eq!(recorded.counter("engine.runs"), 5);
-    assert!(recorded.counter("engine.faults") >= 5 * universe_classes_floor(&universe));
+    assert_eq!(recorded.counter("engine.runs"), 3);
+    assert!(recorded.counter("engine.faults") >= 3 * universe_classes_floor(&universe));
 }
 
 fn universe_classes_floor(universe: &FaultUniverse) -> u64 {
@@ -132,11 +128,9 @@ fn run_all_engines(
     universe: &FaultUniverse,
     patterns: &PatternSet,
 ) -> Vec<Vec<Option<usize>>> {
-    let runs: [Box<dyn Fn() -> lsi_quality::fault::list::FaultList>; 5] = [
+    let runs: [Box<dyn Fn() -> lsi_quality::fault::list::FaultList>; 3] = [
         Box::new(|| SerialSimulator::new(circuit).run(universe, patterns)),
-        Box::new(|| PpsfpSimulator::new(circuit).run(universe, patterns)),
         Box::new(|| DeductiveSimulator::new(circuit).run(universe, patterns)),
-        Box::new(|| ParallelSimulator::new(circuit).run(universe, patterns)),
         Box::new(|| IncrementalSimulator::new(circuit).run(universe, patterns)),
     ];
     runs.iter()
@@ -155,7 +149,7 @@ fn recording_never_changes_lot_results() {
     let circuit = library::c17();
     let universe = FaultUniverse::full(&circuit);
     let patterns = patterns(circuit.primary_inputs().len(), 16);
-    let list = PpsfpSimulator::new(&circuit).run(&universe, &patterns);
+    let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
     let dictionary = FaultDictionary::from_fault_list(&list);
     let config = ModelLotConfig {
         chips: 200,

@@ -39,18 +39,13 @@ fn collapse_on_and_off_agree_on_every_engine() {
     // Inputs: the default builder on alu4, and the production line's
     // builder on the reduced reproduction device.  Every engine's suite,
     // collapsed or not, must equal the deductive oracle's suite.  On the
-    // reduced device the serial reference is out of reach, and the
-    // whole-circuit ppsfp/parallel engines take about a minute in a debug
-    // build, so they join only in release builds.
+    // reduced device the serial reference is out of reach, so only the
+    // deductive and incremental engines run there.
     let alu4 = library::alu4();
     let reduced = Session::reproduction_circuit(false);
     let line_builder = Session::new(RunConfig::default()).line_suite_builder(&reduced);
     assert_eq!(line_builder.engine, EngineKind::default());
-    let line_engines: &[EngineKind] = if cfg!(debug_assertions) {
-        &[EngineKind::Deductive, EngineKind::Incremental]
-    } else {
-        &EngineKind::ALL[1..]
-    };
+    let line_engines: &[EngineKind] = &[EngineKind::Deductive, EngineKind::Incremental];
     let inputs = [
         (
             "alu4",
