@@ -12,11 +12,13 @@
 //!   the compactor; `lsiq_tpg::lfsr::Lfsr` is now a thin wrapper over it),
 //! * [`stumps`] — a STUMPS-style generator: one LFSR, a fixed XOR phase
 //!   shifter, N parallel scan channels filling the device inputs,
-//! * [`misr`] — the multiple-input signature register and its packed-word
-//!   folding (64 patterns at a time, straight from the simulation blocks),
+//! * [`misr`] — the multiple-input signature register: per-response and
+//!   packed folds, and the pre-compressed-word fold the dictionary builder
+//!   feeds error streams through,
 //! * [`signature`] — [`SignatureDictionary`]: per-fault first-failing
-//!   *session* records built in one fault-simulation pass, sharded across a
-//!   worker pool ([`lsiq_exec::ExecutionContext::scope`]),
+//!   *session* records built in one fault-simulation pass on the fault
+//!   engine's cone kernel ([`lsiq_fault::cone`]), sharded across a worker
+//!   pool ([`lsiq_exec::ExecutionContext::scope`]),
 //! * [`aliasing`] — [`AliasingReport`]: exact aliasing versus the `2^−k`
 //!   estimate, and the effective coverage that replaces `f` in the paper's
 //!   defect-level equations (eq. 7/8) under BIST.

@@ -18,9 +18,9 @@
 //! streams — so a register fed only the *error* stream (good XOR faulty)
 //! holds exactly `faulty signature XOR good signature`: a failing readout is
 //! a non-zero error state, and the faulty signature itself is never
-//! materialised.  [`Misr::fold_error_block`] packages that trick for one
-//! register; the signature-dictionary builder inlines the same identity to
-//! drive several widths and mid-block session boundaries at once.
+//! materialised.  The signature-dictionary builder relies on that: it
+//! compresses each pattern's sparse error bits into one parallel-input word
+//! per register width and feeds it to [`Misr::fold_compressed`].
 
 use crate::lfsr::{maximal_polynomial, DEGREE_GRAMMAR, SUPPORTED_DEGREES};
 use lsiq_exec::ConfigError;
@@ -132,6 +132,21 @@ impl Misr {
     /// step, then the parallel-input XOR.
     pub fn fold(&mut self, response: impl IntoIterator<Item = bool>) {
         let incoming = self.compress(response);
+        self.fold_compressed(incoming);
+    }
+
+    /// Folds one pattern's response already compressed into a
+    /// parallel-input word: bit `o mod width` is the XOR of the response
+    /// bits of every output `o` landing there (what [`fold`](Misr::fold)
+    /// computes from the full response).
+    ///
+    /// Callers that know which outputs are set compress those bits
+    /// directly instead of walking every output of every pattern: the
+    /// signature-dictionary builder feeds a fault's *error* stream, which is
+    /// set only at the few outputs the fault disturbs.  A zero register fed
+    /// zero words stays zero.
+    #[inline]
+    pub fn fold_compressed(&mut self, incoming: u64) {
         self.state = Misr::step(self.state, self.polynomial) ^ incoming;
     }
 
@@ -143,23 +158,6 @@ impl Misr {
         for slot in 0..pattern_count {
             self.fold(gather_slot(output_words, slot));
         }
-    }
-
-    /// Folds a packed block of *error* words (good XOR faulty responses)
-    /// and returns the resulting error state.
-    ///
-    /// By linearity of the fold, the error state after any prefix of the
-    /// test equals `faulty signature XOR good signature`; it is zero exactly
-    /// when the two signatures agree.  When both the current error state and
-    /// the block's error words are all zero the register provably stays at
-    /// zero, so the slot loop is skipped — the dominant case for the
-    /// undetected and already-resolved faults of a dictionary build.
-    pub fn fold_error_block(&mut self, error_words: &[u64], pattern_count: usize) -> u64 {
-        if self.state == 0 && error_words.iter().all(|&word| word == 0) {
-            return 0;
-        }
-        self.fold_block(error_words, pattern_count);
-        self.state
     }
 
     /// Folds a lane-wide packed chunk of output responses — one
@@ -175,22 +173,6 @@ impl Misr {
         for slot in 0..pattern_count {
             self.fold(gather_chunk_slot(output_chunks, slot));
         }
-    }
-
-    /// Folds a lane-wide packed chunk of *error* responses and returns the
-    /// resulting error state (the chunk analogue of
-    /// [`fold_error_block`](Misr::fold_error_block), with the same
-    /// quiet-chunk skip).
-    pub fn fold_error_chunk<const L: usize>(
-        &mut self,
-        error_chunks: &[PackedBlock<L>],
-        pattern_count: usize,
-    ) -> u64 {
-        if self.state == 0 && error_chunks.iter().all(|chunk| chunk.is_zero()) {
-            return 0;
-        }
-        self.fold_chunk(error_chunks, pattern_count);
-        self.state
     }
 }
 
@@ -254,30 +236,49 @@ mod tests {
     }
 
     #[test]
-    fn fold_error_block_detects_exactly_signature_mismatches() {
+    fn compressed_error_folds_detect_exactly_signature_mismatches() {
         let good = random_responses(6, 64, 4);
         let good_words = pack(&good, 6);
         // Flip one response bit to make a "faulty" stream.
         let mut faulty = good.clone();
         faulty[17][2] = !faulty[17][2];
         let faulty_words = pack(&faulty, 6);
-        let error_words: Vec<u64> = good_words
-            .iter()
-            .zip(&faulty_words)
-            .map(|(&g, &f)| g ^ f)
-            .collect();
 
         let mut good_misr = Misr::new(8);
         good_misr.fold_block(&good_words, 64);
         let mut faulty_misr = Misr::new(8);
         faulty_misr.fold_block(&faulty_words, 64);
+        // The error stream has one set bit, output 2 of pattern 17: its
+        // compressed word is `1 << (2 mod 8)` there and zero elsewhere.
         let mut error_misr = Misr::new(8);
-        let error = error_misr.fold_error_block(&error_words, 64);
-        assert_eq!(error, good_misr.signature() ^ faulty_misr.signature());
+        for slot in 0..64 {
+            error_misr.fold_compressed(if slot == 17 { 1 << 2 } else { 0 });
+        }
+        assert_ne!(error_misr.signature(), 0);
+        assert_eq!(
+            error_misr.signature(),
+            good_misr.signature() ^ faulty_misr.signature()
+        );
+
+        // Compressing a full response by hand is exactly `fold`.
+        let mut by_hand = Misr::new(4);
+        let mut folded = Misr::new(4);
+        for response in &good {
+            let incoming = response
+                .iter()
+                .enumerate()
+                .filter(|&(_, &bit)| bit)
+                .fold(0u64, |word, (output, _)| word ^ (1 << (output % 4)));
+            by_hand.fold_compressed(incoming);
+            folded.fold(response.iter().copied());
+        }
+        assert_eq!(by_hand, folded);
 
         // An all-zero error stream never leaves the zero state.
         let mut idle = Misr::new(8);
-        assert_eq!(idle.fold_error_block(&[0, 0, 0, 0, 0, 0], 64), 0);
+        for _ in 0..64 {
+            idle.fold_compressed(0);
+        }
         assert_eq!(idle.signature(), 0);
     }
 
@@ -301,17 +302,6 @@ mod tests {
             let mut packed = Misr::new(16);
             packed.fold_chunk(&chunks, patterns);
             assert_eq!(serial.signature(), packed.signature(), "L = {L}");
-
-            let mut error = Misr::new(16);
-            assert_eq!(
-                error.fold_error_chunk(&chunks, patterns),
-                serial.signature()
-            );
-            let mut idle = Misr::new(16);
-            assert_eq!(
-                idle.fold_error_chunk(&[PackedBlock::<L>::ZERO; 6], patterns),
-                0
-            );
         }
         check::<1>();
         check::<4>();

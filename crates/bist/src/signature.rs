@@ -8,39 +8,55 @@
 //! signatures never do is *aliased*: detected by the pattern set, shipped by
 //! the signature compare.
 //!
-//! [`SignatureDictionary::build_in`] produces both records for a whole fault
-//! universe in one fault-simulation pass: the fault universe is sharded
-//! across the worker pool ([`ExecutionContext::scope`] via `scope_map`,
-//! like the incremental fault engine's class shards), each fault's faulty
-//! responses are simulated 64 patterns at a time, and only the *error* stream
-//! (good XOR faulty) is folded — by the fold's GF(2) linearity (the identity
-//! [`Misr::fold_error_block`] packages for a single register) a session
-//! signature mismatches exactly when the error register is non-zero at the
-//! readout.  Faults whose error stream has gone quiet
-//! skip whole blocks without touching the register, and a fault is dropped
-//! from the pass entirely once every requested signature width has resolved
-//! its first failing session.
+//! Every `build*` entry point produces both records for a whole fault
+//! universe in one fault-simulation pass
+//! ([`build_sweep_cached`](SignatureDictionary::build_sweep_cached)):
+//!
+//! * The good machine is evaluated once per lane-wide chunk of patterns
+//!   (through a shared [`GoodMachineCache`] when one is given).
+//! * Faults are propagated by the same event-driven
+//!   [`ConeKernel`] as the production fault engine, so each
+//!   (fault, chunk) costs its disturbed fanout cone, not the whole circuit.
+//!   The kernel yields the disturbed outputs' error words (good XOR
+//!   faulty), and only that *error* stream is folded: by the fold's GF(2)
+//!   linearity a session signature mismatches exactly when the error
+//!   register is non-zero at the readout.
+//! * Each error word is pre-compressed into one MISR input word per
+//!   pattern and register width ([`Misr::fold_compressed`]) by walking its
+//!   set bits only.
+//! * On the circuit's full universe one representative per structural
+//!   equivalence class is simulated.  Equivalent faults have the same
+//!   faulty circuit function, hence the same signatures, and the
+//!   per-fault records are expanded through the class map.
+//! * The fault shards run on the worker pool
+//!   ([`ExecutionContext::scope`] via `scope_map`, like the incremental
+//!   engine's class shards).  Faults whose error stream has gone quiet skip
+//!   whole chunks without touching the registers, and a fault leaves the
+//!   pass once every requested width has resolved its first failing
+//!   session.
 
 use crate::misr::Misr;
 use lsiq_exec::{ExecutionContext, LaneWidth};
-use lsiq_fault::inject::output_chunks_with_fault;
+use lsiq_fault::collapse::collapse_equivalence;
+use lsiq_fault::cone::{good_chunks, ConeKernel, GoodChunk};
+use lsiq_fault::model::Fault;
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_netlist::circuit::Circuit;
 use lsiq_obs::{Counter, Span};
-use lsiq_sim::cache::{circuit_fingerprint, GoodMachineCache};
+use lsiq_sim::cache::GoodMachineCache;
 use lsiq_sim::levelized::CompiledCircuit;
-use lsiq_sim::packed::{gather_chunk_slot, PackedBlock};
+use lsiq_sim::packed::PackedBlock;
 use lsiq_sim::pattern::PatternSet;
 
 /// One-pass sweeps started (every `build*` entry point funnels here).
 static SWEEPS: Counter = Counter::new("bist.sweep.runs");
-/// Faults entering a sweep; invariant at any worker count.
+/// Universe faults a sweep covers; invariant at any worker count.
 static SWEEP_FAULTS: Counter = Counter::new("bist.sweep.faults");
 /// `(length, width)` grid cells the sweep resolves.
 static SWEEP_CELLS: Counter = Counter::new("bist.sweep.cells");
 /// Packing and folding the fault-free machine (once per sweep).
 static GOOD_SIGNATURES: Span = Span::new("bist.sweep.good_signatures");
-/// Per-shard fault simulation and error-stream folding.
+/// Per-shard cone propagation and error-stream folding.
 static PROPAGATE: Span = Span::new("bist.sweep.propagate");
 
 /// The readout schedule and signature geometry of one self-test.
@@ -63,50 +79,6 @@ impl Default for BistPlan {
             signature_width: 16,
         }
     }
-}
-
-/// One precomputed lane-wide chunk: packed inputs, good-machine outputs,
-/// valid mask, pattern count.
-struct Block<const L: usize> {
-    inputs: Vec<PackedBlock<L>>,
-    good_outputs: Vec<PackedBlock<L>>,
-    valid: PackedBlock<L>,
-    count: usize,
-}
-
-fn precompute_blocks<const L: usize>(
-    compiled: &CompiledCircuit<'_>,
-    patterns: &PatternSet,
-    cache: Option<&GoodMachineCache>,
-) -> Vec<Block<L>> {
-    let circuit = compiled.circuit();
-    let input_count = circuit.primary_inputs().len();
-    let fingerprint = cache.map(|_| circuit_fingerprint(circuit));
-    let mut blocks = Vec::with_capacity(patterns.chunk_count(L));
-    for chunk in 0..patterns.chunk_count(L) {
-        let (inputs, count) = patterns.pack_chunk::<L>(input_count, chunk);
-        if count == 0 {
-            break;
-        }
-        let good_outputs = match (cache, fingerprint) {
-            (Some(cache), Some(fingerprint)) => {
-                let nodes = cache.node_chunks_keyed(fingerprint, compiled, &inputs, count);
-                circuit
-                    .primary_outputs()
-                    .iter()
-                    .map(|&out| nodes[out.index()])
-                    .collect()
-            }
-            _ => compiled.output_chunks(&inputs),
-        };
-        blocks.push(Block {
-            inputs,
-            good_outputs,
-            valid: PackedBlock::valid_mask(count),
-            count,
-        });
-    }
-    blocks
 }
 
 /// Per-fault first-failing-session and aliasing records for one fault
@@ -324,7 +296,7 @@ impl SignatureDictionary {
         SWEEP_CELLS.add((widths.len() * lengths.len()) as u64);
         let good_timer = GOOD_SIGNATURES.start();
         let compiled = CompiledCircuit::new(circuit);
-        let blocks = precompute_blocks::<L>(&compiled, patterns, cache);
+        let chunks = good_chunks::<L>(&compiled, patterns, cache);
         let mut boundaries: Vec<usize> = lengths.to_vec();
         boundaries.sort_unstable();
         boundaries.dedup();
@@ -332,16 +304,25 @@ impl SignatureDictionary {
         // Fault-free signatures, folded once up front: one signature per
         // *full* session, plus a running-state snapshot at every length
         // boundary (used by lengths whose trailing session is partial).
+        let mut inputs = SlotInputs::<L>::new(widths);
         let mut good_registers: Vec<Misr> = widths.iter().map(|&w| Misr::new(w)).collect();
         let mut good_full: Vec<Vec<u64>> = vec![Vec::new(); widths.len()];
         let mut good_partial: Vec<Vec<u64>> = vec![vec![0; boundaries.len()]; widths.len()];
         let mut consumed = 0usize;
         let mut in_session = 0usize;
         let mut next_boundary = 0usize;
-        for block in &blocks {
-            for slot in 0..block.count {
-                for register in good_registers.iter_mut() {
-                    register.fold(gather_chunk_slot(&block.good_outputs, slot));
+        for chunk in &chunks {
+            inputs.compress(
+                circuit
+                    .primary_outputs()
+                    .iter()
+                    .enumerate()
+                    .map(|(position, &out)| (position, chunk.words[out.index()] & chunk.valid)),
+                chunk.count,
+            );
+            for slot in 0..chunk.count {
+                for (which, register) in good_registers.iter_mut().enumerate() {
+                    register.fold_compressed(inputs.word(which, slot));
                 }
                 consumed += 1;
                 in_session += 1;
@@ -363,37 +344,56 @@ impl SignatureDictionary {
 
         drop(good_timer);
 
-        // Shard the fault universe across the pool, mirroring the parallel
-        // fault engine's geometry.
+        // On the circuit's full universe simulate one representative per
+        // structural equivalence class.  The collapsing rules are gate-local
+        // and wire merges stop at fanout stems (primary outputs count as a
+        // branch), so class members share the whole faulty circuit function
+        // and therefore every signature; `class_of` expands the per-class
+        // records when the dictionaries are derived.
         let faults = universe.faults();
         SWEEP_FAULTS.add(faults.len() as u64);
+        let collapse = universe
+            .is_full(circuit)
+            .then(|| collapse_equivalence(circuit));
+        let simulated: &[Fault] = collapse
+            .as_ref()
+            .map_or(faults, |collapse| collapse.collapsed.faults());
+        let class_of = |index: usize| match &collapse {
+            Some(collapse) => {
+                collapse.representative_of[index].expect("equivalence keeps every class")
+            }
+            None => index,
+        };
+
+        // Shard the simulated faults across the pool, as the incremental
+        // engine shards its simulation classes.
         let shard_count = context
             .workers()
-            .min(faults.len().div_ceil(MIN_FAULTS_PER_SHARD))
+            .min(simulated.len().div_ceil(MIN_FAULTS_PER_SHARD))
             .max(1);
-        let chunk = faults.len().div_ceil(shard_count).max(1);
+        let shard_len = simulated.len().div_ceil(shard_count).max(1);
         let results: Vec<ShardResult> = if shard_count <= 1 {
             vec![simulate_shard(
                 &compiled,
-                &blocks,
-                faults,
+                &chunks,
+                simulated,
                 session_len,
                 widths,
                 &boundaries,
             )]
         } else {
-            let shards: Vec<&[lsiq_fault::model::Fault]> = faults.chunks(chunk).collect();
+            let shards: Vec<&[Fault]> = simulated.chunks(shard_len).collect();
             context.scope_map(shards, |shard| {
-                simulate_shard(&compiled, &blocks, shard, session_len, widths, &boundaries)
+                simulate_shard(&compiled, &chunks, shard, session_len, widths, &boundaries)
             })
         };
 
-        // Concatenate the shards back into universe fault order.
-        let mut first_error: Vec<Option<usize>> = Vec::with_capacity(faults.len());
+        // Concatenate the shards back into simulated-fault order.
+        let mut first_error: Vec<Option<usize>> = Vec::with_capacity(simulated.len());
         let mut first_fail: Vec<Vec<Option<usize>>> =
-            vec![Vec::with_capacity(faults.len()); widths.len()];
-        let mut partial_fail: Vec<Vec<Vec<bool>>> =
-            vec![Vec::with_capacity(faults.len()); widths.len()];
+            vec![Vec::with_capacity(simulated.len()); widths.len()];
+        let mut partial_fail: Vec<Vec<bool>> =
+            vec![Vec::with_capacity(simulated.len() * boundaries.len()); widths.len()];
         for shard in results {
             first_error.extend(shard.first_error);
             for (which, fails) in shard.first_fail.into_iter().enumerate() {
@@ -421,22 +421,30 @@ impl SignatureDictionary {
                         if has_partial {
                             good.push(good_partial[which][boundary]);
                         }
-                        let first_fail: Vec<Option<usize>> = first_fail[which]
-                            .iter()
-                            .zip(&partial_fail[which])
-                            .map(|(&fail, partials)| match fail {
-                                // A full-session failure inside the prefix
-                                // is the answer for every longer length.
-                                Some(session) if session < full_sessions => Some(session),
-                                // Otherwise the prefix's only remaining
-                                // readout is its trailing partial session.
-                                _ if has_partial && partials[boundary] => Some(full_sessions),
-                                _ => None,
+                        let first_fail: Vec<Option<usize>> = (0..faults.len())
+                            .map(|index| {
+                                let class = class_of(index);
+                                match first_fail[which][class] {
+                                    // A full-session failure inside the
+                                    // prefix is the answer for every longer
+                                    // length.
+                                    Some(session) if session < full_sessions => Some(session),
+                                    // Otherwise the prefix's only remaining
+                                    // readout is its trailing partial session.
+                                    _ if has_partial
+                                        && partial_fail[which]
+                                            [class * boundaries.len() + boundary] =>
+                                    {
+                                        Some(full_sessions)
+                                    }
+                                    _ => None,
+                                }
                             })
                             .collect();
-                        let raw_detected: Vec<bool> = first_error
-                            .iter()
-                            .map(|error| error.is_some_and(|pattern| pattern < length))
+                        let raw_detected: Vec<bool> = (0..faults.len())
+                            .map(|index| {
+                                first_error[class_of(index)].is_some_and(|pattern| pattern < length)
+                            })
                             .collect();
                         SignatureDictionary {
                             session_len,
@@ -593,14 +601,60 @@ impl SignatureDictionary {
 /// than the parallelism recovers (mirrors the incremental fault engine).
 const MIN_FAULTS_PER_SHARD: usize = 64;
 
+/// Per-pattern MISR input words for every requested width, pre-compressed
+/// from sparse per-output words: output `o`'s bit at slot `s` lands on
+/// register position `o mod width` of slot `s`'s word.  That is
+/// [`Misr::fold`]'s compression, paid once per set bit instead of once per
+/// output per pattern per width.
+struct SlotInputs<const L: usize> {
+    widths: Vec<u32>,
+    /// `[width][slot]`, flattened as `which * PackedBlock::<L>::PATTERNS + slot`.
+    words: Vec<u64>,
+}
+
+impl<const L: usize> SlotInputs<L> {
+    fn new(widths: &[u32]) -> Self {
+        SlotInputs {
+            widths: widths.to_vec(),
+            words: vec![0; widths.len() * PackedBlock::<L>::PATTERNS],
+        }
+    }
+
+    /// Recompresses the first `count` slots of every width from
+    /// `(output position, word)` pairs.
+    fn compress(&mut self, outputs: impl Iterator<Item = (usize, PackedBlock<L>)>, count: usize) {
+        for row in self.words.chunks_exact_mut(PackedBlock::<L>::PATTERNS) {
+            row[..count].fill(0);
+        }
+        for (position, word) in outputs {
+            for (row, &width) in self
+                .words
+                .chunks_exact_mut(PackedBlock::<L>::PATTERNS)
+                .zip(&self.widths)
+            {
+                let bit = 1u64 << (position as u32 % width);
+                for slot in word.set_slots() {
+                    row[slot] ^= bit;
+                }
+            }
+        }
+    }
+
+    /// Width `which`'s input word for pattern `slot`.
+    #[inline]
+    fn word(&self, which: usize, slot: usize) -> u64 {
+        self.words[which * PackedBlock::<L>::PATTERNS + slot]
+    }
+}
+
 /// One shard's per-fault results, in shard-local fault order.
 struct ShardResult {
     /// `[width][fault]` first failing *full* session.
     first_fail: Vec<Vec<Option<usize>>>,
-    /// `[width][fault][boundary]` whether the error register was non-zero
-    /// when the pass crossed that length boundary — the trailing
-    /// partial-session verdict of the test ending there.
-    partial_fail: Vec<Vec<Vec<bool>>>,
+    /// `[width][fault * boundaries + boundary]` whether the error register
+    /// was non-zero when the pass crossed that length boundary — the
+    /// trailing partial-session verdict of the test ending there.
+    partial_fail: Vec<Vec<bool>>,
     /// `[fault]` index of the first pattern whose response differs, or
     /// `None` if no response ever does.  `first_error < length` is the raw
     /// (pre-compaction) detection verdict of every prefix at once.
@@ -609,8 +663,8 @@ struct ShardResult {
 
 fn simulate_shard<const L: usize>(
     compiled: &CompiledCircuit<'_>,
-    blocks: &[Block<L>],
-    faults: &[lsiq_fault::model::Fault],
+    chunks: &[GoodChunk<L>],
+    faults: &[Fault],
     session_len: usize,
     widths: &[u32],
     boundaries: &[usize],
@@ -618,14 +672,19 @@ fn simulate_shard<const L: usize>(
     let _timer = PROPAGATE.start();
     let mut result = ShardResult {
         first_fail: vec![Vec::with_capacity(faults.len()); widths.len()],
-        partial_fail: vec![Vec::with_capacity(faults.len()); widths.len()],
+        partial_fail: vec![Vec::with_capacity(faults.len() * boundaries.len()); widths.len()],
         first_error: Vec::with_capacity(faults.len()),
     };
+    let mut kernel = ConeKernel::<L>::new(compiled);
+    let mut inputs = SlotInputs::<L>::new(widths);
     let mut registers: Vec<Misr> = widths.iter().map(|&w| Misr::new(w)).collect();
-    let mut error_words: Vec<PackedBlock<L>> = Vec::new();
+    let mut first_fail: Vec<Option<usize>> = vec![None; widths.len()];
     for fault in faults {
-        let mut first_fail: Vec<Option<usize>> = vec![None; widths.len()];
-        let mut partial_fail: Vec<Vec<bool>> = vec![vec![false; boundaries.len()]; widths.len()];
+        first_fail.fill(None);
+        for partials in result.partial_fail.iter_mut() {
+            partials.resize(partials.len() + boundaries.len(), false);
+        }
+        let partial_base = result.first_error.len() * boundaries.len();
         let mut unresolved = widths.len();
         let mut first_error: Option<usize> = None;
         for register in registers.iter_mut() {
@@ -649,31 +708,23 @@ fn simulate_shard<const L: usize>(
                 register.reset();
             }
         };
-        'blocks: for block in blocks {
-            let faulty = output_chunks_with_fault(compiled, &block.inputs, fault);
-            error_words.clear();
-            error_words.extend(
-                block
-                    .good_outputs
-                    .iter()
-                    .zip(&faulty)
-                    .map(|(&good, &bad)| (good ^ bad) & block.valid),
-            );
-            let error_union = error_words
-                .iter()
-                .fold(PackedBlock::<L>::ZERO, |union, &word| union | word);
+        'chunks: for chunk in chunks {
+            let errors = kernel.propagate(fault, &chunk.words, chunk.valid);
             if first_error.is_none() {
-                if let Some(slot) = error_union.first_set_slot() {
+                let union = errors
+                    .iter()
+                    .fold(PackedBlock::<L>::ZERO, |union, error| union | error.word);
+                if let Some(slot) = union.first_set_slot() {
                     first_error = Some(consumed + slot);
                 }
             }
-            if error_union.is_zero() && registers.iter().all(|r| r.signature() == 0) {
-                // A quiet block cannot move a zero register; fast-forward
+            if errors.is_empty() && registers.iter().all(|r| r.signature() == 0) {
+                // A quiet chunk cannot move a zero register; fast-forward
                 // the session counters (each readout trivially passes) and
                 // the boundary cursor (each snapshot trivially passes too —
-                // `partial_fail` is already `false`).
-                consumed += block.count;
-                in_session += block.count;
+                // its `partial_fail` entry is already `false`).
+                consumed += chunk.count;
+                in_session += chunk.count;
                 while in_session >= session_len {
                     in_session -= session_len;
                     session += 1;
@@ -683,12 +734,16 @@ fn simulate_shard<const L: usize>(
                 }
                 continue;
             }
-            for slot in 0..block.count {
+            inputs.compress(
+                errors.iter().map(|error| (error.position, error.word)),
+                chunk.count,
+            );
+            for slot in 0..chunk.count {
                 for (which, register) in registers.iter_mut().enumerate() {
                     // A resolved width's register was reset at its failing
                     // readout and is never read again; skip its folds.
                     if first_fail[which].is_none() {
-                        register.fold(gather_chunk_slot(&error_words, slot));
+                        register.fold_compressed(inputs.word(which, slot));
                     }
                 }
                 consumed += 1;
@@ -699,7 +754,8 @@ fn simulate_shard<const L: usize>(
                     // without disturbing the ongoing fold.  (A resolved
                     // width's register is zero and its snapshot is unused.)
                     for (which, register) in registers.iter().enumerate() {
-                        partial_fail[which][next_boundary] = register.signature() != 0;
+                        result.partial_fail[which][partial_base + next_boundary] =
+                            register.signature() != 0;
                     }
                     next_boundary += 1;
                 }
@@ -713,17 +769,14 @@ fn simulate_shard<const L: usize>(
                         // dictionaries resolve from `first_fail` alone, and
                         // a signature failure implies a response difference,
                         // so `first_error` is already set.
-                        break 'blocks;
+                        break 'chunks;
                     }
                 }
             }
         }
         result.first_error.push(first_error);
-        for (which, fail) in first_fail.into_iter().enumerate() {
+        for (which, &fail) in first_fail.iter().enumerate() {
             result.first_fail[which].push(fail);
-        }
-        for (which, partials) in partial_fail.into_iter().enumerate() {
-            result.partial_fail[which].push(partials);
         }
     }
     result
@@ -734,7 +787,9 @@ mod tests {
     use super::*;
     use crate::stumps::{StumpsConfig, StumpsGenerator};
     use lsiq_fault::inject::outputs_with_fault;
+    use lsiq_netlist::generator::pipelined_datapath;
     use lsiq_netlist::library;
+    use lsiq_netlist::scan::insert_scan;
     use lsiq_sim::pattern::Pattern;
 
     fn c17_fixture() -> (lsiq_netlist::circuit::Circuit, FaultUniverse, PatternSet) {
@@ -746,57 +801,72 @@ mod tests {
 
     /// Brute-force reference: fold every fault's *actual* session signatures
     /// with a plain MISR over serially simulated responses and compare to
-    /// the fault-free signatures.
-    fn brute_force_first_fail(
+    /// the fault-free signatures.  Responses are simulated once and folded
+    /// under every plan.
+    fn assert_matches_brute_force(
+        label: &str,
         circuit: &lsiq_netlist::circuit::Circuit,
         universe: &FaultUniverse,
         patterns: &PatternSet,
-        plan: &BistPlan,
-    ) -> (Vec<Option<usize>>, Vec<bool>) {
+        plans: &[BistPlan],
+    ) {
         let compiled = CompiledCircuit::new(circuit);
-        let sessions = patterns.len().div_ceil(plan.session_len);
-        let mut good_signatures = Vec::new();
-        {
+        let good: Vec<Vec<bool>> = patterns.iter().map(|p| compiled.outputs(p)).collect();
+        let faulty: Vec<Vec<Vec<bool>>> = universe
+            .iter()
+            .map(|fault| {
+                patterns
+                    .iter()
+                    .map(|pattern| outputs_with_fault(&compiled, pattern.bits(), fault))
+                    .collect()
+            })
+            .collect();
+        // Session signatures of one response stream under `plan`.
+        let signatures = |responses: &[Vec<bool>], plan: &BistPlan| {
             let mut misr = Misr::new(plan.signature_width);
-            for (index, pattern) in patterns.iter().enumerate() {
-                misr.fold(compiled.outputs(pattern));
-                if (index + 1) % plan.session_len == 0 || index + 1 == patterns.len() {
-                    good_signatures.push(misr.signature());
+            let mut signatures = Vec::new();
+            for (index, response) in responses.iter().enumerate() {
+                misr.fold(response.iter().copied());
+                if (index + 1) % plan.session_len == 0 || index + 1 == responses.len() {
+                    signatures.push(misr.signature());
                     misr.reset();
                 }
             }
-        }
-        assert_eq!(good_signatures.len(), sessions);
-        let mut first_fail = Vec::new();
-        let mut raw_detected = Vec::new();
-        for fault in universe.iter() {
-            let mut misr = Misr::new(plan.signature_width);
-            let mut raw = false;
-            let mut fail = None;
-            let mut session = 0;
-            for (index, pattern) in patterns.iter().enumerate() {
-                let good = compiled.outputs(pattern);
-                let faulty = outputs_with_fault(&compiled, pattern.bits(), fault);
-                raw |= good != faulty;
-                misr.fold(faulty);
-                if (index + 1) % plan.session_len == 0 || index + 1 == patterns.len() {
-                    if fail.is_none() && misr.signature() != good_signatures[session] {
-                        fail = Some(session);
-                    }
-                    misr.reset();
-                    session += 1;
-                }
+            signatures
+        };
+        for plan in plans {
+            let dictionary = SignatureDictionary::build(circuit, universe, patterns, plan);
+            let good_signatures = signatures(&good, plan);
+            assert_eq!(
+                good_signatures.len(),
+                patterns.len().div_ceil(plan.session_len)
+            );
+            assert_eq!(dictionary.good_signatures(), &good_signatures[..]);
+            assert_eq!(dictionary.sessions(), good_signatures.len());
+            assert_eq!(dictionary.len(), universe.len());
+            for (index, responses) in faulty.iter().enumerate() {
+                let first_fail = signatures(responses, plan)
+                    .iter()
+                    .zip(&good_signatures)
+                    .position(|(faulty, good)| faulty != good);
+                assert_eq!(
+                    dictionary.first_failing_session(index),
+                    first_fail,
+                    "{label}: fault {index}, plan {plan:?}"
+                );
+                assert_eq!(
+                    dictionary.is_raw_detected(index),
+                    *responses != good,
+                    "{label}: fault {index}, plan {plan:?}"
+                );
             }
-            first_fail.push(fail);
-            raw_detected.push(raw);
         }
-        (first_fail, raw_detected)
     }
 
     #[test]
     fn matches_brute_force_reference_on_c17() {
         let (circuit, universe, patterns) = c17_fixture();
-        for plan in [
+        let plans = [
             BistPlan::default(),
             BistPlan {
                 session_len: 5,
@@ -806,26 +876,44 @@ mod tests {
                 session_len: 7,
                 signature_width: 8,
             },
-        ] {
-            let dictionary = SignatureDictionary::build(&circuit, &universe, &patterns, &plan);
-            let (first_fail, raw) = brute_force_first_fail(&circuit, &universe, &patterns, &plan);
-            for index in 0..universe.len() {
-                assert_eq!(
-                    dictionary.first_failing_session(index),
-                    first_fail[index],
-                    "fault {index}, plan {plan:?}"
-                );
-                assert_eq!(
-                    dictionary.is_raw_detected(index),
-                    raw[index],
-                    "fault {index}, plan {plan:?}"
-                );
-            }
-            assert_eq!(
-                dictionary.sessions(),
-                patterns.len().div_ceil(plan.session_len)
-            );
-        }
+        ];
+        assert_matches_brute_force("c17", &circuit, &universe, &patterns, &plans);
+    }
+
+    #[test]
+    fn matches_brute_force_reference_on_collapsing_and_scan_universes() {
+        // Partial sessions (5 and 7 do not divide 150) across chunk
+        // boundaries, every width the sweep uses, on a full universe that
+        // really collapses (alu4) and on a full-scan test view.  This pins
+        // the equivalence-collapsed signatures to a per-fault scalar MISR.
+        let plans: Vec<BistPlan> = [5usize, 7]
+            .into_iter()
+            .flat_map(|session_len| {
+                [4u32, 8, 16].map(|signature_width| BistPlan {
+                    session_len,
+                    signature_width,
+                })
+            })
+            .collect();
+        let alu = library::alu4();
+        let universe = FaultUniverse::full(&alu);
+        assert_eq!(universe.len(), 476);
+        assert!(collapse_equivalence(&alu).collapsed.len() < 476);
+        let patterns = StumpsGenerator::new(&StumpsConfig::with_width(10, 5)).generate(150);
+        assert_matches_brute_force("alu4", &alu, &universe, &patterns, &plans);
+
+        let scan = insert_scan(&pipelined_datapath(8), 3).expect("3 chains fit");
+        let view = scan.test_view();
+        let patterns =
+            StumpsGenerator::new(&StumpsConfig::with_width(view.primary_inputs().len(), 9))
+                .generate(150);
+        assert_matches_brute_force(
+            "datapath8 scan view",
+            view,
+            &FaultUniverse::full(view),
+            &patterns,
+            &plans,
+        );
     }
 
     #[test]

@@ -4,34 +4,23 @@
 //! pair ([serial](crate::serial)) or per pattern
 //! ([deductive](crate::deductive)).  This engine exploits the observation
 //! that a single stuck-at fault disturbs only its *fanout cone*: the good
-//! machine is evaluated **once** per 64-pattern block, and each fault then
-//! only seeds its fault site with the faulty word and propagates the
-//! difference event-by-event, level-by-level, through the cone.  The
-//! propagation stops as soon as the event frontier dies (every disturbed
-//! word re-converged with the good machine) or runs out of circuit, so the
-//! per-fault cost is proportional to the size of the *disturbed* cone —
-//! usually a tiny fraction of the netlist — instead of the whole circuit.
-//! It is the fastest engine in the workspace at every circuit size
-//! measured, and therefore the production default (`EngineKind::default()`);
-//! see `docs/ENGINES.md` for the full comparison.
-//!
-//! # Event propagation
-//!
-//! Gates are processed in level order through per-level dirty buckets, so
-//! every gate in the cone is evaluated at most once per (fault, block):
-//! when a level-`L` gate is popped, all of its disturbed drivers (levels
-//! `< L`) are final.  The faulty-value and scheduled-gate arrays are
-//! epoch-stamped — bumping one counter invalidates all per-fault state, so
-//! nothing is cleared between faults and, in the spirit of the deductive
-//! engine's `ListArena`, nothing is allocated after warm-up.
+//! machine is evaluated **once** per lane-wide chunk, and each fault is then
+//! propagated through its disturbed cone only, by the shared
+//! [`ConeKernel`] — the same kernel the BIST
+//! signature dictionaries are built on.  The per-fault cost is proportional
+//! to the size of the *disturbed* cone, usually a tiny fraction of the
+//! netlist, instead of the whole circuit.  It is the fastest engine in the
+//! workspace at every circuit size measured, and therefore the production
+//! default (`EngineKind::default()`); see `docs/ENGINES.md` for the full
+//! comparison.
 //!
 //! # Detection semantics
 //!
-//! Whenever a disturbed gate is a primary output, the XOR of its faulty and
-//! good words (masked to the block's valid patterns) is accumulated; the
-//! first set bit of the accumulated word is the fault's earliest detecting
-//! pattern within the block.  This is the serial reference's
-//! first-failing-pattern rule, so the reported [`FaultList`] is
+//! The kernel reports the disturbed primary outputs of each (fault, chunk)
+//! with their `good ^ faulty` error chunks, masked to the chunk's valid
+//! patterns.  The engine ORs them; the first set bit of the union is the
+//! fault's earliest detecting pattern within the chunk.  This is the serial
+//! reference's first-failing-pattern rule, so the reported [`FaultList`] is
 //! byte-identical to every other engine (enforced by
 //! `tests/engine_differential.rs`).
 //!
@@ -48,47 +37,28 @@
 //! [`with_context`](IncrementalSimulator::with_context) (which
 //! `BuildEngine::build_configured` does when `EngineOptions::context` is
 //! set) shards the simulation classes
-//! across the pool's workers, each with its own scratch state, with results
+//! across the pool's workers, each with its own kernel, with results
 //! identical at any worker count.
 
 use crate::classes::{simulation_classes, SimulationClasses};
 use crate::collapse::CollapseResult;
+use crate::cone::{good_chunks, ConeKernel, GoodChunk};
 use crate::list::FaultList;
-use crate::model::{Fault, FaultSite};
+use crate::model::Fault;
 use crate::simulator::FaultSimulator;
 use crate::telemetry;
 use crate::universe::FaultUniverse;
 use lsiq_exec::{ExecutionContext, LaneWidth};
-use lsiq_netlist::circuit::{Circuit, GateId};
-use lsiq_netlist::levelize::Levelization;
+use lsiq_netlist::circuit::Circuit;
 use lsiq_obs::Span;
-use lsiq_sim::cache::{circuit_fingerprint, GoodMachineCache};
-use lsiq_sim::eval::eval_chunk;
+use lsiq_sim::cache::GoodMachineCache;
 use lsiq_sim::levelized::CompiledCircuit;
 use lsiq_sim::packed::PackedBlock;
 use lsiq_sim::pattern::PatternSet;
 use std::cell::OnceCell;
-use std::sync::Arc;
 
 static GOOD_MACHINE: Span = Span::new("engine.incremental.good_machine");
 static PROPAGATE: Span = Span::new("engine.incremental.propagate");
-
-/// One precomputed lane-wide chunk: the good-machine chunk of every gate
-/// (indexed by gate id) and the valid-slot mask.  The per-gate image is
-/// behind an [`Arc`] so a shared [`GoodMachineCache`] entry can be used
-/// in place without a copy.
-struct Block<const L: usize> {
-    words: Arc<Vec<PackedBlock<L>>>,
-    valid: PackedBlock<L>,
-}
-
-/// One simulation class's seed: the representative fault and the level of
-/// the gate whose evaluation it directly affects.
-#[derive(Clone, Copy)]
-struct Seed {
-    fault: Fault,
-    level: u32,
-}
 
 /// An event-driven incremental fault simulator.
 ///
@@ -215,36 +185,6 @@ impl<'c> IncrementalSimulator<'c> {
         requested.min(useful).max(1)
     }
 
-    /// Packs every lane-wide chunk and evaluates its good machine once —
-    /// through the shared cache when one is bound.
-    ///
-    /// The full per-gate chunk image of every chunk is kept (O(gates ×
-    /// chunks × lanes) words) so class shards can replay chunks
-    /// independently without re-simulating the good machine.
-    fn precompute_blocks<const L: usize>(&self, patterns: &PatternSet) -> Vec<Block<L>> {
-        let circuit = self.compiled.circuit();
-        let input_count = circuit.primary_inputs().len();
-        let fingerprint = self.cache.map(|_| circuit_fingerprint(circuit));
-        let mut blocks = Vec::with_capacity(patterns.chunk_count(L));
-        for chunk in 0..patterns.chunk_count(L) {
-            let (inputs, pattern_count) = patterns.pack_chunk::<L>(input_count, chunk);
-            if pattern_count == 0 {
-                break;
-            }
-            let words = match (self.cache, fingerprint) {
-                (Some(cache), Some(fingerprint)) => {
-                    cache.node_chunks_keyed(fingerprint, &self.compiled, &inputs, pattern_count)
-                }
-                _ => Arc::new(self.compiled.node_chunks(&inputs)),
-            };
-            blocks.push(Block {
-                words,
-                valid: PackedBlock::valid_mask(pattern_count),
-            });
-        }
-        blocks
-    }
-
     /// Partitions the universe's fault indices into groups that provably
     /// share their set of detecting patterns (see
     /// [`classes::simulation_classes`](simulation_classes)).
@@ -270,63 +210,45 @@ impl<'c> IncrementalSimulator<'c> {
             return list;
         }
         let classes = self.simulation_classes(universe);
-        let circuit = self.compiled.circuit();
-        let levelization = self.compiled.levelization();
-        let blocks = {
+        let chunks = {
             let _timer = GOOD_MACHINE.start();
-            self.precompute_blocks::<L>(patterns)
+            good_chunks::<L>(&self.compiled, patterns, self.cache)
         };
-        if blocks.is_empty() {
+        if chunks.is_empty() {
             return list;
         }
         telemetry::RUNS.incr();
         telemetry::FAULTS.add(classes.count() as u64);
-        telemetry::GOOD_EVALS.add(blocks.len() as u64);
-        let seeds: Vec<Seed> = (0..classes.count() as u32)
+        telemetry::GOOD_EVALS.add(chunks.len() as u64);
+        let representatives: Vec<Fault> = (0..classes.count() as u32)
             .map(|class| {
-                let fault = *universe
+                *universe
                     .get(classes.representative(class) as usize)
-                    .expect("class member in range");
-                Seed {
-                    fault,
-                    level: levelization.level(fault.site.affected_gate()) as u32,
-                }
+                    .expect("class member in range")
             })
             .collect();
-        let mut is_output = vec![false; circuit.gate_count()];
-        for &out in circuit.primary_outputs() {
-            is_output[out.index()] = true;
-        }
 
-        let shards = self.shard_count(seeds.len());
-        let chunk = seeds.len().div_ceil(shards);
+        let shards = self.shard_count(representatives.len());
+        let shard_len = representatives.len().div_ceil(shards);
         let drop_detected = self.drop_detected;
+        let compiled = &self.compiled;
         let detections: Vec<Vec<Option<usize>>> = if shards == 1 {
             vec![simulate_shard(
-                circuit,
-                levelization,
-                &is_output,
-                &blocks,
-                &seeds,
+                compiled,
+                &chunks,
+                &representatives,
                 drop_detected,
             )]
         } else {
-            let shard_seeds: Vec<&[Seed]> = seeds.chunks(chunk).collect();
-            self.execution_context().scope_map(shard_seeds, |shard| {
-                simulate_shard(
-                    circuit,
-                    levelization,
-                    &is_output,
-                    &blocks,
-                    shard,
-                    drop_detected,
-                )
+            let shard_faults: Vec<&[Fault]> = representatives.chunks(shard_len).collect();
+            self.execution_context().scope_map(shard_faults, |shard| {
+                simulate_shard(compiled, &chunks, shard, drop_detected)
             })
         };
 
         let mut drops = 0u64;
         for (shard, shard_detections) in detections.into_iter().enumerate() {
-            let base = shard * chunk;
+            let base = shard * shard_len;
             for (local, detection) in shard_detections.into_iter().enumerate() {
                 if let Some(pattern) = detection {
                     if drop_detected {
@@ -357,137 +279,38 @@ impl FaultSimulator for IncrementalSimulator<'_> {
     }
 }
 
-/// Simulates one contiguous shard of simulation classes over all chunks,
-/// returning the first detecting pattern per class (shard-local order).
-///
-/// All scratch state — faulty chunks, epoch stamps, per-level dirty buckets,
-/// the fanin gather buffer — is allocated once per shard and reused for
-/// every (class, chunk) pair.
+/// Simulates one contiguous shard of simulation-class representatives over
+/// all chunks, returning the first detecting pattern per class (shard-local
+/// order).  One [`ConeKernel`] per shard owns all scratch state.
 fn simulate_shard<const L: usize>(
-    circuit: &Circuit,
-    levelization: &Levelization,
-    is_output: &[bool],
-    blocks: &[Block<L>],
-    seeds: &[Seed],
+    compiled: &CompiledCircuit<'_>,
+    chunks: &[GoodChunk<L>],
+    faults: &[Fault],
     drop_detected: bool,
 ) -> Vec<Option<usize>> {
     let _timer = PROPAGATE.start();
-    let gate_count = circuit.gate_count();
-    // Faulty chunks and their validity stamp: `faulty[g]` is live iff
-    // `value_stamp[g] == epoch`, so advancing the epoch resets everything.
-    let mut faulty = vec![PackedBlock::<L>::ZERO; gate_count];
-    let mut value_stamp = vec![0u64; gate_count];
-    let mut sched_stamp = vec![0u64; gate_count];
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); levelization.depth() + 1];
-    let mut fanin_words: Vec<PackedBlock<L>> = Vec::new();
-    let mut epoch = 0u64;
-    let mut first_detection: Vec<Option<usize>> = vec![None; seeds.len()];
-
-    for (local, seed) in seeds.iter().enumerate() {
-        let site_id = seed.fault.site.affected_gate();
-        let site = site_id.index();
-        let stuck = PackedBlock::<L>::splat(seed.fault.stuck.as_bool());
-        for (block_index, block) in blocks.iter().enumerate() {
-            if first_detection[local].is_some() && drop_detected {
-                break;
-            }
-            epoch += 1;
-            let good: &[PackedBlock<L>] = &block.words;
-            // Seed the fault site: an output fault pins the gate's chunk to
-            // the stuck value; a pin fault re-evaluates the loading gate
-            // with that one pin's chunk replaced.
-            let seeded = match seed.fault.site {
-                FaultSite::Output(_) => stuck,
-                FaultSite::InputPin { gate, pin } => {
-                    let load = circuit.gate(gate);
-                    fanin_words.clear();
-                    for (position, &driver) in load.fanin().iter().enumerate() {
-                        fanin_words.push(if position == pin {
-                            stuck
-                        } else {
-                            good[driver.index()]
-                        });
-                    }
-                    eval_chunk(load.kind(), &fanin_words)
+    let mut kernel = ConeKernel::<L>::new(compiled);
+    faults
+        .iter()
+        .map(|fault| {
+            let mut first_detection = None;
+            for (index, chunk) in chunks.iter().enumerate() {
+                if first_detection.is_some() && drop_detected {
+                    break;
                 }
-            };
-            // Restricting the seeded difference to valid slots keeps every
-            // downstream chunk bitwise equal to the good machine outside the
-            // chunk, killing events earlier and masking nothing (packed
-            // evaluation is slot-independent).
-            let diff = (seeded ^ good[site]) & block.valid;
-            if diff.is_zero() {
-                continue; // fault not excited by any pattern of this chunk
-            }
-            faulty[site] = good[site] ^ diff;
-            value_stamp[site] = epoch;
-            let mut detect = if is_output[site] {
-                diff
-            } else {
-                PackedBlock::ZERO
-            };
-            let mut pending = 0usize;
-            for &load in circuit.fanout(site_id) {
-                let index = load.index();
-                if sched_stamp[index] != epoch {
-                    sched_stamp[index] = epoch;
-                    buckets[levelization.level(load)].push(index as u32);
-                    pending += 1;
-                }
-            }
-            // Drain dirty buckets in level order; a drained gate only ever
-            // schedules strictly higher levels, so each cone gate is
-            // evaluated at most once and its drivers are final when popped.
-            let mut level = seed.level as usize + 1;
-            while pending > 0 {
-                while buckets[level].is_empty() {
-                    level += 1;
-                }
-                let mut bucket = std::mem::take(&mut buckets[level]);
-                for &dirty in &bucket {
-                    pending -= 1;
-                    let dirty_index = dirty as usize;
-                    let id = GateId(dirty_index);
-                    let gate = circuit.gate(id);
-                    fanin_words.clear();
-                    for &driver in gate.fanin() {
-                        let driver_index = driver.index();
-                        fanin_words.push(if value_stamp[driver_index] == epoch {
-                            faulty[driver_index]
-                        } else {
-                            good[driver_index]
-                        });
-                    }
-                    let word = eval_chunk(gate.kind(), &fanin_words);
-                    let delta = word ^ good[dirty_index];
-                    if delta.is_zero() {
-                        continue; // event died: cone re-converged here
-                    }
-                    faulty[dirty_index] = word;
-                    value_stamp[dirty_index] = epoch;
-                    if is_output[dirty_index] {
-                        detect |= delta;
-                    }
-                    for &load in circuit.fanout(id) {
-                        let index = load.index();
-                        if sched_stamp[index] != epoch {
-                            sched_stamp[index] = epoch;
-                            buckets[levelization.level(load)].push(index as u32);
-                            pending += 1;
-                        }
+                let detect = kernel
+                    .propagate(fault, &chunk.words, chunk.valid)
+                    .iter()
+                    .fold(PackedBlock::<L>::ZERO, |union, error| union | error.word);
+                if first_detection.is_none() {
+                    if let Some(slot) = detect.first_set_slot() {
+                        first_detection = Some(index * PackedBlock::<L>::PATTERNS + slot);
                     }
                 }
-                bucket.clear();
-                buckets[level] = bucket;
             }
-            if first_detection[local].is_none() {
-                if let Some(slot) = detect.first_set_slot() {
-                    first_detection[local] = Some(block_index * PackedBlock::<L>::PATTERNS + slot);
-                }
-            }
-        }
-    }
-    first_detection
+            first_detection
+        })
+        .collect()
 }
 
 #[cfg(test)]

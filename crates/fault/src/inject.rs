@@ -1,16 +1,18 @@
-//! Fault-injected circuit evaluation.
+//! Fault-injected scalar circuit evaluation: the oracle.
 //!
-//! These functions mirror the good-machine passes of
-//! [`CompiledCircuit`] but force the
-//! faulty line to its stuck value during evaluation.  They are shared by the
-//! serial fault simulator and the BIST signature path
-//! (`lsiq_bist::signature`).
+//! These functions mirror the scalar good-machine pass of
+//! [`CompiledCircuit`] but force the faulty line to its stuck value during
+//! evaluation, one pattern at a time over the whole circuit.  They are the
+//! serial fault simulator's evaluator, the collapsing soundness checks'
+//! reference, and the brute-force oracle the packed
+//! [cone kernel](crate::cone) and the BIST signature dictionaries are
+//! tested against.  Production fault propagation never re-evaluates the
+//! whole circuit: it runs through the cone kernel.
 
 use crate::model::{Fault, FaultSite};
 use lsiq_netlist::GateKind;
-use lsiq_sim::eval::{eval_bool, eval_chunk, eval_packed};
+use lsiq_sim::eval::eval_bool;
 use lsiq_sim::levelized::CompiledCircuit;
-use lsiq_sim::packed::PackedBlock;
 
 /// Scalar simulation of one pattern with `fault` injected; returns the value
 /// of every gate indexed by gate id.
@@ -68,121 +70,6 @@ pub fn outputs_with_fault(
         .primary_outputs()
         .iter()
         .map(|&out| values[out.index()])
-        .collect()
-}
-
-/// 64-pattern bit-parallel simulation with `fault` injected; returns one word
-/// per gate indexed by gate id.
-pub fn node_words_with_fault(
-    compiled: &CompiledCircuit<'_>,
-    input_words: &[u64],
-    fault: &Fault,
-) -> Vec<u64> {
-    let circuit = compiled.circuit();
-    let mut words = vec![0u64; circuit.gate_count()];
-    for (position, &input) in circuit.primary_inputs().iter().enumerate() {
-        words[input.index()] = input_words.get(position).copied().unwrap_or(0);
-    }
-    if let FaultSite::Output(gate) = fault.site {
-        if circuit.gate(gate).kind() == GateKind::Input {
-            words[gate.index()] = fault.stuck.as_word();
-        }
-    }
-    let mut fanin_words = Vec::new();
-    for &id in compiled.order() {
-        let gate = circuit.gate(id);
-        if gate.kind() == GateKind::Input {
-            continue;
-        }
-        fanin_words.clear();
-        for (pin, &driver) in gate.fanin().iter().enumerate() {
-            let mut word = words[driver.index()];
-            if fault.site == (FaultSite::InputPin { gate: id, pin }) {
-                word = fault.stuck.as_word();
-            }
-            fanin_words.push(word);
-        }
-        let mut output = eval_packed(gate.kind(), &fanin_words);
-        if fault.site == FaultSite::Output(id) {
-            output = fault.stuck.as_word();
-        }
-        words[id.index()] = output;
-    }
-    words
-}
-
-/// Lane-wide (`64 × L`-pattern) bit-parallel simulation with `fault`
-/// injected; returns one [`PackedBlock`] per gate indexed by gate id.
-/// The `L = 1` case is exactly [`node_words_with_fault`].
-pub fn node_chunks_with_fault<const L: usize>(
-    compiled: &CompiledCircuit<'_>,
-    input_chunks: &[PackedBlock<L>],
-    fault: &Fault,
-) -> Vec<PackedBlock<L>> {
-    let circuit = compiled.circuit();
-    let mut chunks = vec![PackedBlock::<L>::ZERO; circuit.gate_count()];
-    for (position, &input) in circuit.primary_inputs().iter().enumerate() {
-        chunks[input.index()] = input_chunks
-            .get(position)
-            .copied()
-            .unwrap_or(PackedBlock::ZERO);
-    }
-    let stuck = PackedBlock::<L>::splat(fault.stuck.as_bool());
-    if let FaultSite::Output(gate) = fault.site {
-        if circuit.gate(gate).kind() == GateKind::Input {
-            chunks[gate.index()] = stuck;
-        }
-    }
-    let mut fanin_chunks = Vec::new();
-    for &id in compiled.order() {
-        let gate = circuit.gate(id);
-        if gate.kind() == GateKind::Input {
-            continue;
-        }
-        fanin_chunks.clear();
-        for (pin, &driver) in gate.fanin().iter().enumerate() {
-            let mut chunk = chunks[driver.index()];
-            if fault.site == (FaultSite::InputPin { gate: id, pin }) {
-                chunk = stuck;
-            }
-            fanin_chunks.push(chunk);
-        }
-        let mut output = eval_chunk(gate.kind(), &fanin_chunks);
-        if fault.site == FaultSite::Output(id) {
-            output = stuck;
-        }
-        chunks[id.index()] = output;
-    }
-    chunks
-}
-
-/// Lane-wide bit-parallel primary-output response with `fault` injected.
-pub fn output_chunks_with_fault<const L: usize>(
-    compiled: &CompiledCircuit<'_>,
-    input_chunks: &[PackedBlock<L>],
-    fault: &Fault,
-) -> Vec<PackedBlock<L>> {
-    let chunks = node_chunks_with_fault(compiled, input_chunks, fault);
-    compiled
-        .circuit()
-        .primary_outputs()
-        .iter()
-        .map(|&out| chunks[out.index()])
-        .collect()
-}
-
-/// 64-pattern bit-parallel primary-output response with `fault` injected.
-pub fn output_words_with_fault(
-    compiled: &CompiledCircuit<'_>,
-    input_words: &[u64],
-    fault: &Fault,
-) -> Vec<u64> {
-    let words = node_words_with_fault(compiled, input_words, fault);
-    compiled
-        .circuit()
-        .primary_outputs()
-        .iter()
-        .map(|&out| words[out.index()])
         .collect()
 }
 
@@ -245,64 +132,6 @@ mod tests {
         let outputs = outputs_with_fault(&compiled, pattern.bits(), &fault);
         // With a stuck at 0: sum = 1, carry = 0.
         assert_eq!(outputs, vec![true, false]);
-    }
-
-    #[test]
-    fn packed_injection_matches_scalar_injection() {
-        let circuit = library::full_adder();
-        let compiled = CompiledCircuit::new(&circuit);
-        let universe = crate::universe::FaultUniverse::full(&circuit);
-        // All 8 exhaustive patterns in one block.
-        let mut input_words = vec![0u64; 3];
-        for value in 0u64..8 {
-            for (input, word) in input_words.iter_mut().enumerate() {
-                if (value >> input) & 1 == 1 {
-                    *word |= 1 << value;
-                }
-            }
-        }
-        for fault in &universe {
-            let packed = output_words_with_fault(&compiled, &input_words, fault);
-            for value in 0u64..8 {
-                let pattern = Pattern::from_integer(value, 3);
-                let scalar = outputs_with_fault(&compiled, pattern.bits(), fault);
-                for (out, &word) in packed.iter().enumerate() {
-                    assert_eq!(
-                        (word >> value) & 1 == 1,
-                        scalar[out],
-                        "fault {fault} pattern {value} output {out}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_injection_matches_word_injection_lane_by_lane() {
-        let circuit = library::alu4();
-        let compiled = CompiledCircuit::new(&circuit);
-        let universe = crate::universe::FaultUniverse::checkpoint(&circuit);
-        let patterns: lsiq_sim::pattern::PatternSet =
-            (0..300u64).map(|v| Pattern::from_integer(v, 10)).collect();
-        let width = circuit.primary_inputs().len();
-        for fault in universe.faults().iter().take(12) {
-            for chunk in 0..patterns.chunk_count(4) {
-                let (input_chunks, _) = patterns.pack_chunk::<4>(width, chunk);
-                let chunks = node_chunks_with_fault(&compiled, &input_chunks, fault);
-                let output_chunks = output_chunks_with_fault(&compiled, &input_chunks, fault);
-                for lane in 0..4 {
-                    let (input_words, _) = patterns.pack_block(width, chunk * 4 + lane);
-                    let words = node_words_with_fault(&compiled, &input_words, fault);
-                    for (gate, &word) in words.iter().enumerate() {
-                        assert_eq!(chunks[gate].0[lane], word, "{fault} lane {lane}");
-                    }
-                    let output_words = output_words_with_fault(&compiled, &input_words, fault);
-                    for (out, &word) in output_words.iter().enumerate() {
-                        assert_eq!(output_chunks[out].0[lane], word);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   oracle, and the production engine's event-driven cone propagation),
 //!   which cross-check each other in the test suites; the architecture
 //!   guide comparing them is `docs/ENGINES.md` at the repository root,
+//! * [`cone`] — the event-driven fanout-cone kernel behind the production
+//!   engine and the BIST signature dictionaries: per (fault, chunk) it
+//!   yields the disturbed primary outputs' error words,
 //! * [`coverage`] — cumulative fault-coverage curves as a function of the
 //!   number of applied patterns (the paper's `f` axis), and
 //! * [`dictionary`] — per-fault first-failing-pattern records, the raw
@@ -38,6 +41,7 @@ mod classes;
 mod telemetry;
 
 pub mod collapse;
+pub mod cone;
 pub mod coverage;
 pub mod deductive;
 pub mod dictionary;

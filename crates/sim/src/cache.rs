@@ -69,7 +69,7 @@ pub fn circuit_fingerprint(circuit: &Circuit) -> u64 {
 struct CachedChunk<const L: usize> {
     inputs: Vec<PackedBlock<L>>,
     count: usize,
-    words: Vec<PackedBlock<L>>,
+    words: Arc<Vec<PackedBlock<L>>>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -158,7 +158,8 @@ impl GoodMachineCache {
 
     /// The good-machine image of one input chunk: one evaluated
     /// [`PackedBlock`] per gate, indexed by gate id — exactly
-    /// [`CompiledCircuit::node_chunks`], memoized.
+    /// [`CompiledCircuit::node_chunks`], memoized.  A hit hands out the
+    /// resident image itself (another [`Arc`] to it), never a copy.
     ///
     /// `count` is the number of valid patterns in the chunk; it participates
     /// in the key so a full chunk and a partial prefix of it (whose packed
@@ -201,23 +202,23 @@ impl GoodMachineCache {
             {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 CACHE_HITS.incr();
-                return Arc::new(cached.words.clone());
+                return Arc::clone(&cached.words);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         CACHE_MISSES.incr();
-        let words = compiled.node_chunks(inputs);
+        let words = Arc::new(compiled.node_chunks(inputs));
         let entry = Arc::new(CachedChunk {
             inputs: inputs.to_vec(),
             count,
-            words: words.clone(),
+            words: Arc::clone(&words),
         });
         let mut entries = self.lock();
         if entries.len() >= self.capacity && !entries.contains_key(&key) {
             entries.clear();
         }
         entries.insert(key, entry);
-        Arc::new(words)
+        words
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, Arc<dyn Any + Send + Sync>>> {
