@@ -3,8 +3,9 @@
 //! pipeline against the serial path on identical inputs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use lsiq_exec::ExecutionContext;
 use lsiq_fault::dictionary::FaultDictionary;
-use lsiq_fault::simulator::{BuildEngine, EngineKind};
+use lsiq_fault::simulator::{BuildEngine, EngineKind, EngineOptions};
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_manufacturing::defect::DefectModel;
 use lsiq_manufacturing::lot::{ChipLot, ModelLotConfig, PhysicalLotConfig};
@@ -44,7 +45,7 @@ fn bench_lot_simulation(c: &mut Criterion) {
         .map(|v| Pattern::from_integer(v * 5 + 1, 10))
         .collect();
     let list = EngineKind::default()
-        .build(&circuit)
+        .build_configured(&circuit, &EngineOptions::default())
         .run(&universe, &patterns);
     let dictionary = FaultDictionary::from_fault_list(&list);
     let lot = ChipLot::from_model(&ModelLotConfig {
@@ -65,11 +66,13 @@ fn bench_lot_simulation(c: &mut Criterion) {
         chips: 10_000,
         ..model_config
     };
-    let serial_runner = ParallelLotRunner::new().with_threads(1);
+    let single = ExecutionContext::new(1);
+    let serial_runner = ParallelLotRunner::with_context(&single);
     c.bench_function("model_lot_10k_chips_serial", |b| {
         b.iter(|| serial_runner.generate_model_lot(black_box(&big_config)))
     });
-    let parallel_runner = ParallelLotRunner::new();
+    let all_cores = ExecutionContext::new(0);
+    let parallel_runner = ParallelLotRunner::with_context(&all_cores);
     c.bench_function("model_lot_10k_chips_parallel", |b| {
         b.iter(|| parallel_runner.generate_model_lot(black_box(&big_config)))
     });

@@ -19,6 +19,28 @@ use lsiq_sim::levelized::CompiledCircuit;
 use lsiq_sim::packed::PackedBlock;
 use lsiq_sim::pattern::PatternSet;
 
+/// The dictionaries of every width in `widths` at the full pattern length.
+fn full_length(
+    context: &ExecutionContext,
+    circuit: &Circuit,
+    universe: &FaultUniverse,
+    patterns: &PatternSet,
+    session_len: usize,
+    widths: &[u32],
+) -> Vec<Vec<SignatureDictionary>> {
+    SignatureDictionary::build_sweep_cached(
+        context,
+        circuit,
+        universe,
+        patterns,
+        session_len,
+        widths,
+        &[patterns.len()],
+        LaneWidth::Auto,
+        None,
+    )
+}
+
 /// Fault-free output chunks of every chunk of `patterns`, pre-packed so the
 /// fold benchmarks measure MISR throughput, not simulation.
 fn packed_chunks<const L: usize>(
@@ -73,8 +95,13 @@ fn bench_misr_compaction(c: &mut Criterion) {
     group.bench_function("signature_dictionary/alu4/1_worker", |b| {
         let context = ExecutionContext::new(1);
         b.iter(|| {
-            black_box(SignatureDictionary::build_in(
-                &context, &circuit, &universe, &patterns, &plan,
+            black_box(full_length(
+                &context,
+                &circuit,
+                &universe,
+                &patterns,
+                plan.session_len,
+                &[plan.signature_width],
             ))
         })
     });
@@ -87,8 +114,13 @@ fn bench_misr_compaction(c: &mut Criterion) {
         format!("signature_dictionary/alu4/{workers}_workers"),
         |b| {
             b.iter(|| {
-                black_box(SignatureDictionary::build_in(
-                    &pooled, &circuit, &universe, &patterns, &plan,
+                black_box(full_length(
+                    &pooled,
+                    &circuit,
+                    &universe,
+                    &patterns,
+                    plan.session_len,
+                    &[plan.signature_width],
                 ))
             })
         },
@@ -97,7 +129,7 @@ fn bench_misr_compaction(c: &mut Criterion) {
     // The single-pass multi-width build versus three independent builds.
     group.bench_function("build_many/k4_8_16_one_pass", |b| {
         b.iter(|| {
-            black_box(SignatureDictionary::build_many_in(
+            black_box(full_length(
                 &pooled,
                 &circuit,
                 &universe,

@@ -19,7 +19,7 @@
 //!
 //! Run with: `cargo run --release -p lsiq-bench --bin ablation_threads`
 
-use lsiq_bench::session_from_env;
+use lsiq_bench::{session_from_env, Session};
 use lsiq_exec::ExecutionContext;
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
@@ -58,7 +58,7 @@ fn main() {
 
     // The test programme, built once on the session's engine and pool: an
     // LSI-class device and its suite.
-    let circuit = lsiq_bench::reproduction_circuit(false);
+    let circuit = Session::reproduction_circuit(false);
     let universe = FaultUniverse::full(&circuit);
     let suite = TestSuiteBuilder {
         seed: 1981,
@@ -69,7 +69,7 @@ fn main() {
         ..TestSuiteBuilder::default()
     }
     .with_run_config(session.config())
-    .build_in(session.context(), &circuit, &universe);
+    .build_cached(Some(session.context()), None, &circuit, &universe);
     let coverage = CoverageCurve::from_fault_list(&suite.fault_list, suite.patterns.len());
     let dictionary = FaultDictionary::from_fault_list(&suite.fault_list);
     println!(
@@ -143,7 +143,6 @@ fn main() {
             chips: 10_000,
             fault_universe_size: universe.len(),
             base_seed: 1981,
-            threads: 0,
             context: None,
         }
         .with_context(context)

@@ -88,16 +88,36 @@ impl AliasingReport {
 mod tests {
     use super::*;
     use crate::signature::BistPlan;
+    use lsiq_exec::{ExecutionContext, LaneWidth};
     use lsiq_fault::universe::FaultUniverse;
     use lsiq_netlist::library;
     use lsiq_sim::pattern::{Pattern, PatternSet};
 
+    /// The c17 signature dictionary of `universe` under one plan.
+    fn dictionary(
+        universe: &FaultUniverse,
+        patterns: &PatternSet,
+        plan: BistPlan,
+    ) -> SignatureDictionary {
+        SignatureDictionary::build_sweep_cached(
+            &ExecutionContext::new(1),
+            &library::c17(),
+            universe,
+            patterns,
+            plan.session_len,
+            &[plan.signature_width],
+            &[patterns.len()],
+            LaneWidth::Auto,
+            None,
+        )
+        .swap_remove(0)
+        .swap_remove(0)
+    }
+
     fn report(plan: BistPlan) -> AliasingReport {
-        let circuit = library::c17();
-        let universe = FaultUniverse::full(&circuit);
+        let universe = FaultUniverse::full(&library::c17());
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-        let dictionary = SignatureDictionary::build(&circuit, &universe, &patterns, &plan);
-        AliasingReport::from_dictionary(&dictionary)
+        AliasingReport::from_dictionary(&dictionary(&universe, &patterns, plan))
     }
 
     #[test]
@@ -134,12 +154,10 @@ mod tests {
 
     #[test]
     fn empty_universe_yields_zero_coverages() {
-        let circuit = library::c17();
         let universe = FaultUniverse::from_faults(Vec::new());
         let patterns: PatternSet = (0..4).map(|v| Pattern::from_integer(v, 5)).collect();
-        let dictionary =
-            SignatureDictionary::build(&circuit, &universe, &patterns, &BistPlan::default());
-        let report = AliasingReport::from_dictionary(&dictionary);
+        let report =
+            AliasingReport::from_dictionary(&dictionary(&universe, &patterns, BistPlan::default()));
         assert_eq!(report.raw_coverage(), 0.0);
         assert_eq!(report.effective_coverage(), 0.0);
         assert_eq!(report.aliasing_fraction(), 0.0);

@@ -37,18 +37,31 @@
 //!
 //! ```
 //! use lsiq_bist::aliasing::AliasingReport;
-//! use lsiq_bist::signature::{BistPlan, SignatureDictionary};
+//! use lsiq_bist::signature::SignatureDictionary;
 //! use lsiq_bist::stumps::{StumpsConfig, StumpsGenerator};
+//! use lsiq_exec::{ExecutionContext, LaneWidth};
 //! use lsiq_fault::universe::FaultUniverse;
 //! use lsiq_netlist::library;
 //!
 //! let circuit = library::c17();
 //! let universe = FaultUniverse::full(&circuit);
-//! let patterns = StumpsGenerator::new(&StumpsConfig::with_width(5, 1981)).generate(64);
-//! let dictionary =
-//!     SignatureDictionary::build(&circuit, &universe, &patterns, &BistPlan::default());
-//! let report = AliasingReport::from_dictionary(&dictionary);
-//! assert!(report.effective_coverage() <= report.raw_coverage());
+//! let patterns = StumpsGenerator::new(&StumpsConfig::with_width(5, 1981)).generate(128);
+//! // Test lengths 64 and 128 × signature widths 4 and 16, in one pass.
+//! let grid = SignatureDictionary::build_sweep_cached(
+//!     &ExecutionContext::new(2),
+//!     &circuit,
+//!     &universe,
+//!     &patterns,
+//!     64,
+//!     &[4, 16],
+//!     &[64, 128],
+//!     LaneWidth::Auto,
+//!     None,
+//! );
+//! for dictionary in grid.iter().flatten() {
+//!     let report = AliasingReport::from_dictionary(dictionary);
+//!     assert!(report.effective_coverage() <= report.raw_coverage());
+//! }
 //! ```
 
 pub mod aliasing;

@@ -8,9 +8,8 @@
 //! signatures never do is *aliased*: detected by the pattern set, shipped by
 //! the signature compare.
 //!
-//! Every `build*` entry point produces both records for a whole fault
-//! universe in one fault-simulation pass
-//! ([`build_sweep_cached`](SignatureDictionary::build_sweep_cached)):
+//! [`build_sweep_cached`](SignatureDictionary::build_sweep_cached) produces
+//! both records for a whole fault universe in one fault-simulation pass:
 //!
 //! * The good machine is evaluated once per lane-wide chunk of patterns
 //!   (through a shared [`GoodMachineCache`] when one is given).
@@ -28,15 +27,14 @@
 //!   equivalence class is simulated.  Equivalent faults have the same
 //!   faulty circuit function, hence the same signatures, and the
 //!   per-fault records are expanded through the class map.
-//! * The fault shards run on the worker pool
-//!   ([`ExecutionContext::scope`] via `scope_map`, like the incremental
-//!   engine's class shards).  Faults whose error stream has gone quiet skip
+//! * The fault shards run on the worker pool (the shared
+//!   [`map_shards`] rule, like the incremental engine's class shards).  Faults whose error stream has gone quiet skip
 //!   whole chunks without touching the registers, and a fault leaves the
 //!   pass once every requested width has resolved its first failing
 //!   session.
 
 use crate::misr::Misr;
-use lsiq_exec::{ExecutionContext, LaneWidth};
+use lsiq_exec::{map_shards, ExecutionContext, LaneWidth};
 use lsiq_fault::collapse::collapse_equivalence;
 use lsiq_fault::cone::{good_chunks, ConeKernel, GoodChunk};
 use lsiq_fault::model::Fault;
@@ -48,7 +46,7 @@ use lsiq_sim::levelized::CompiledCircuit;
 use lsiq_sim::packed::PackedBlock;
 use lsiq_sim::pattern::PatternSet;
 
-/// One-pass sweeps started (every `build*` entry point funnels here).
+/// One-pass sweeps started (one per `build_sweep_cached` call).
 static SWEEPS: Counter = Counter::new("bist.sweep.runs");
 /// Universe faults a sweep covers; invariant at any worker count.
 static SWEEP_FAULTS: Counter = Counter::new("bist.sweep.faults");
@@ -104,81 +102,10 @@ pub struct SignatureDictionary {
 }
 
 impl SignatureDictionary {
-    /// Builds the dictionary on the process-wide worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan.session_len` is 0 or `plan.signature_width` is not a
-    /// supported MISR width.
-    pub fn build(
-        circuit: &Circuit,
-        universe: &FaultUniverse,
-        patterns: &PatternSet,
-        plan: &BistPlan,
-    ) -> SignatureDictionary {
-        SignatureDictionary::build_in(
-            ExecutionContext::global(),
-            circuit,
-            universe,
-            patterns,
-            plan,
-        )
-    }
-
-    /// Builds the dictionary with the fault shards executing on `context`'s
-    /// worker pool.  Results are byte-identical at any worker count.
-    pub fn build_in(
-        context: &ExecutionContext,
-        circuit: &Circuit,
-        universe: &FaultUniverse,
-        patterns: &PatternSet,
-        plan: &BistPlan,
-    ) -> SignatureDictionary {
-        SignatureDictionary::build_many_in(
-            context,
-            circuit,
-            universe,
-            patterns,
-            plan.session_len,
-            &[plan.signature_width],
-        )
-        .pop()
-        .expect("one width in, one dictionary out")
-    }
-
-    /// Builds one dictionary per requested signature width in a *single*
-    /// fault-simulation pass: every fault's responses are simulated once and
-    /// folded into one error register per width.  This is what makes a
-    /// test-length × signature-width sweep affordable — the simulation cost
-    /// is paid per length, not per grid cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session_len` is 0, `widths` is empty, or any width is not
-    /// a supported MISR width.
-    pub fn build_many_in(
-        context: &ExecutionContext,
-        circuit: &Circuit,
-        universe: &FaultUniverse,
-        patterns: &PatternSet,
-        session_len: usize,
-        widths: &[u32],
-    ) -> Vec<SignatureDictionary> {
-        SignatureDictionary::build_sweep_in(
-            context,
-            circuit,
-            universe,
-            patterns,
-            session_len,
-            widths,
-            &[patterns.len()],
-        )
-        .pop()
-        .expect("one length in, one dictionary row out")
-    }
-
     /// Builds one dictionary per `(test length, signature width)` grid cell
-    /// in a *single* fault-simulation pass over the full pattern set.
+    /// in a *single* fault-simulation pass over the full pattern set, with
+    /// the fault shards running on `context`'s pool; a single dictionary is
+    /// the one-length, one-width grid.
     ///
     /// Each requested length is a prefix of `patterns`, and MISR sessions
     /// are independent (the register resets at every readout), so one
@@ -186,46 +113,23 @@ impl SignatureDictionary {
     /// readouts are shared verbatim, and the only extra state a shorter
     /// test needs is the error register's value at its trailing partial
     /// session — captured as a snapshot when the pass crosses that length
-    /// boundary.  The result is indexed `[length][width]` (input order) and
-    /// each dictionary is byte-identical to what
-    /// [`build_many_in`](SignatureDictionary::build_many_in) produces on the
-    /// truncated pattern set, at a fault-simulation cost paid once instead
-    /// of once per length.
+    /// boundary.  Every width folds the same simulated error stream into
+    /// its own register.  The result is indexed `[length][width]` (input
+    /// order) and each dictionary is byte-identical to a build over the
+    /// truncated pattern set alone, at any worker count.
+    ///
+    /// The packed lane width is selectable (results are byte-identical at
+    /// every width) and an optional shared [`GoodMachineCache`] supplies —
+    /// or receives — the per-chunk good-machine images, so a session that
+    /// has already simulated the same circuit over the same patterns (a
+    /// test-suite build, an earlier sweep) never re-runs the fault-free
+    /// machine.
     ///
     /// # Panics
     ///
     /// Panics if `session_len` is 0, `widths` or `lengths` is empty, any
     /// width is not a supported MISR width, or any length exceeds the
     /// pattern set.
-    pub fn build_sweep_in(
-        context: &ExecutionContext,
-        circuit: &Circuit,
-        universe: &FaultUniverse,
-        patterns: &PatternSet,
-        session_len: usize,
-        widths: &[u32],
-        lengths: &[usize],
-    ) -> Vec<Vec<SignatureDictionary>> {
-        SignatureDictionary::build_sweep_cached(
-            context,
-            circuit,
-            universe,
-            patterns,
-            session_len,
-            widths,
-            lengths,
-            LaneWidth::Auto,
-            None,
-        )
-    }
-
-    /// The fully configured form of
-    /// [`build_sweep_in`](SignatureDictionary::build_sweep_in): the packed
-    /// lane width is selectable (results are byte-identical at every width)
-    /// and an optional shared [`GoodMachineCache`] supplies — or receives —
-    /// the per-chunk good-machine images, so a session that has already
-    /// simulated the same circuit over the same patterns (a test-suite
-    /// build, an earlier sweep) never re-runs the fault-free machine.
     #[allow(clippy::too_many_arguments)]
     pub fn build_sweep_cached(
         context: &ExecutionContext,
@@ -367,26 +271,21 @@ impl SignatureDictionary {
 
         // Shard the simulated faults across the pool, as the incremental
         // engine shards its simulation classes.
-        let shard_count = context
-            .workers()
-            .min(simulated.len().div_ceil(MIN_FAULTS_PER_SHARD))
-            .max(1);
-        let shard_len = simulated.len().div_ceil(shard_count).max(1);
-        let results: Vec<ShardResult> = if shard_count <= 1 {
-            vec![simulate_shard(
-                &compiled,
-                &chunks,
-                simulated,
-                session_len,
-                widths,
-                &boundaries,
-            )]
-        } else {
-            let shards: Vec<&[Fault]> = simulated.chunks(shard_len).collect();
-            context.scope_map(shards, |shard| {
-                simulate_shard(&compiled, &chunks, shard, session_len, widths, &boundaries)
-            })
-        };
+        let results = map_shards(
+            Some(context),
+            simulated.len(),
+            MIN_FAULTS_PER_SHARD,
+            |range| {
+                simulate_shard(
+                    &compiled,
+                    &chunks,
+                    &simulated[range],
+                    session_len,
+                    widths,
+                    &boundaries,
+                )
+            },
+        );
 
         // Concatenate the shards back into simulated-fault order.
         let mut first_error: Vec<Option<usize>> = Vec::with_capacity(simulated.len());
@@ -792,7 +691,49 @@ mod tests {
     use lsiq_netlist::scan::insert_scan;
     use lsiq_sim::pattern::Pattern;
 
-    fn c17_fixture() -> (lsiq_netlist::circuit::Circuit, FaultUniverse, PatternSet) {
+    /// The one-length grid of `widths` over the whole pattern set.
+    fn build_widths(
+        context: &ExecutionContext,
+        circuit: &Circuit,
+        universe: &FaultUniverse,
+        patterns: &PatternSet,
+        session_len: usize,
+        widths: &[u32],
+    ) -> Vec<SignatureDictionary> {
+        SignatureDictionary::build_sweep_cached(
+            context,
+            circuit,
+            universe,
+            patterns,
+            session_len,
+            widths,
+            &[patterns.len()],
+            LaneWidth::Auto,
+            None,
+        )
+        .swap_remove(0)
+    }
+
+    /// One dictionary: the one-length, one-width grid.
+    fn build(
+        context: &ExecutionContext,
+        circuit: &Circuit,
+        universe: &FaultUniverse,
+        patterns: &PatternSet,
+        plan: &BistPlan,
+    ) -> SignatureDictionary {
+        build_widths(
+            context,
+            circuit,
+            universe,
+            patterns,
+            plan.session_len,
+            &[plan.signature_width],
+        )
+        .swap_remove(0)
+    }
+
+    fn c17_fixture() -> (Circuit, FaultUniverse, PatternSet) {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
@@ -805,11 +746,12 @@ mod tests {
     /// under every plan.
     fn assert_matches_brute_force(
         label: &str,
-        circuit: &lsiq_netlist::circuit::Circuit,
+        circuit: &Circuit,
         universe: &FaultUniverse,
         patterns: &PatternSet,
         plans: &[BistPlan],
     ) {
+        let context = ExecutionContext::new(0);
         let compiled = CompiledCircuit::new(circuit);
         let good: Vec<Vec<bool>> = patterns.iter().map(|p| compiled.outputs(p)).collect();
         let faulty: Vec<Vec<Vec<bool>>> = universe
@@ -835,7 +777,7 @@ mod tests {
             signatures
         };
         for plan in plans {
-            let dictionary = SignatureDictionary::build(circuit, universe, patterns, plan);
+            let dictionary = build(&context, circuit, universe, patterns, plan);
             let good_signatures = signatures(&good, plan);
             assert_eq!(
                 good_signatures.len(),
@@ -927,7 +869,7 @@ mod tests {
             session_len: 32,
             signature_width: 8,
         };
-        let reference = SignatureDictionary::build_in(
+        let reference = build(
             &ExecutionContext::new(1),
             &circuit,
             &universe,
@@ -936,8 +878,7 @@ mod tests {
         );
         for workers in [2, 3, 8] {
             let context = ExecutionContext::new(workers);
-            let dictionary =
-                SignatureDictionary::build_in(&context, &circuit, &universe, &patterns, &plan);
+            let dictionary = build(&context, &circuit, &universe, &patterns, &plan);
             assert_eq!(reference, dictionary, "workers = {workers}");
         }
     }
@@ -946,17 +887,12 @@ mod tests {
     fn build_many_matches_individual_builds() {
         let (circuit, universe, patterns) = c17_fixture();
         let widths = [4u32, 8, 16];
-        let many = SignatureDictionary::build_many_in(
-            ExecutionContext::global(),
-            &circuit,
-            &universe,
-            &patterns,
-            6,
-            &widths,
-        );
+        let context = ExecutionContext::new(0);
+        let many = build_widths(&context, &circuit, &universe, &patterns, 6, &widths);
         assert_eq!(many.len(), widths.len());
         for (dictionary, &width) in many.iter().zip(&widths) {
-            let single = SignatureDictionary::build(
+            let single = build(
+                &context,
                 &circuit,
                 &universe,
                 &patterns,
@@ -986,7 +922,7 @@ mod tests {
         let session_len = 16;
         let lengths = [48usize, 10, 16, 57, 96];
         let context = ExecutionContext::new(4);
-        let sweep = SignatureDictionary::build_sweep_in(
+        let sweep = SignatureDictionary::build_sweep_cached(
             &context,
             &circuit,
             &universe,
@@ -994,11 +930,13 @@ mod tests {
             session_len,
             &widths,
             &lengths,
+            LaneWidth::Auto,
+            None,
         );
         assert_eq!(sweep.len(), lengths.len());
         for (row, &length) in sweep.iter().zip(&lengths) {
             let prefix: PatternSet = patterns.iter().take(length).cloned().collect();
-            let reference = SignatureDictionary::build_many_in(
+            let reference = build_widths(
                 &ExecutionContext::new(1),
                 &circuit,
                 &universe,
@@ -1022,8 +960,16 @@ mod tests {
         let widths = [8u32, 16];
         let lengths = [40usize, 96, 160];
         let context = ExecutionContext::new(2);
-        let reference = SignatureDictionary::build_sweep_in(
-            &context, &circuit, &universe, &patterns, 32, &widths, &lengths,
+        let reference = SignatureDictionary::build_sweep_cached(
+            &context,
+            &circuit,
+            &universe,
+            &patterns,
+            32,
+            &widths,
+            &lengths,
+            LaneWidth::Auto,
+            None,
         );
         let cache = GoodMachineCache::new();
         for lanes in LaneWidth::EXPLICIT {
@@ -1067,7 +1013,8 @@ mod tests {
             session_len: 8,
             signature_width: 16,
         };
-        let dictionary = SignatureDictionary::build(&circuit, &universe, &patterns, &plan);
+        let context = ExecutionContext::new(0);
+        let dictionary = build(&context, &circuit, &universe, &patterns, &plan);
         assert_eq!(dictionary.len(), universe.len());
         assert_eq!(dictionary.raw_detected_count(), universe.len());
         assert_eq!(dictionary.signature_detected_count(), universe.len());
@@ -1085,7 +1032,8 @@ mod tests {
     #[test]
     fn empty_pattern_set_detects_nothing() {
         let (circuit, universe, _) = c17_fixture();
-        let dictionary = SignatureDictionary::build(
+        let dictionary = build(
+            &ExecutionContext::new(0),
             &circuit,
             &universe,
             &PatternSet::new(),

@@ -4,9 +4,9 @@
 //! [`RunConfig::from_env`] is the single place in the workspace that parses
 //! the `LSIQ_ENGINE`, `LSIQ_LOT_THREADS`, `LSIQ_SEED`, `LSIQ_TEST_MODE`,
 //! `LSIQ_SCAN_CHAINS`, `LSIQ_LANES` and `LSIQ_METRICS` environment
-//! variables; every older knob (`lsiq_bench::engine_from_env`, the
-//! `production_line` example) delegates here, so an invalid value always
-//! produces the same actionable [`ConfigError`] instead of divergent panics.
+//! variables; every consumer (the bench binaries, the `production_line`
+//! example, `lsiq-serve`) reads them through here, so an invalid value
+//! always produces the same actionable [`ConfigError`], never a panic.
 
 use std::env;
 use std::error::Error;

@@ -18,9 +18,13 @@
 //! * [`ExecutionContext`] — a persistent pool of parked worker threads with
 //!   a scoped fork-join API ([`ExecutionContext::scope`]).  Every parallel
 //!   stage of the reproduction — fault-class sharding, lot generation,
-//!   wafer test, reject tabulation, `(y, n0)` sweeps — runs on one such
-//!   pool, so worker threads are spawned once per session and reused across
-//!   all sweep points instead of respawned per call.
+//!   wafer test, reject tabulation, `(y, n0)` sweeps — runs on the context
+//!   it is given, so worker threads are spawned once per session and reused
+//!   across all sweep points instead of respawned per call;
+//! * [`map_shards`] / [`shard_ranges`] — the one shard rule those stages
+//!   share: contiguous index ranges, at most one per worker and one per
+//!   started minimum batch of items, mapped on the given pool (or inline on
+//!   the caller when no pool is given).
 //!
 //! The facade crate bundles a [`RunConfig`] and an [`ExecutionContext`] into
 //! `lsi_quality::Session`, the one-call entry point of the reproduction
@@ -53,4 +57,4 @@ pub use config::{
     ConfigError, EngineKind, LaneWidth, MetricsMode, RunConfig, ScanPlan, TestMode,
     DEFAULT_BASE_SEED, ENGINE_VAR, LANES_VAR, METRICS_VAR, SCAN_CHAINS_VAR,
 };
-pub use pool::{ExecutionContext, Scope};
+pub use pool::{map_shards, shard_ranges, ExecutionContext, Scope};

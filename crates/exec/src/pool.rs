@@ -30,8 +30,9 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -138,8 +139,8 @@ impl ScopeState {
 ///
 /// Construct one per session ([`ExecutionContext::new`] /
 /// [`ExecutionContext::from_config`]) and thread it through the parallel
-/// stages; code paths with no context in hand fall back to the shared
-/// process-wide pool ([`ExecutionContext::global`]).
+/// stages; code paths with no context in hand run inline on the caller
+/// (see [`map_shards`]).
 ///
 /// ```
 /// use lsiq_exec::ExecutionContext;
@@ -217,18 +218,6 @@ impl ExecutionContext {
     /// override, or the available hardware parallelism).
     pub fn from_config(config: &RunConfig) -> ExecutionContext {
         ExecutionContext::new(config.workers().unwrap_or(0))
-    }
-
-    /// The shared process-wide pool, sized to the available hardware
-    /// parallelism and created on first use.
-    ///
-    /// This is the fallback for compatibility entry points that predate the
-    /// typed API (`ParallelLotRunner::new`, engines built without an
-    /// explicit context): even those now reuse persistent workers instead of
-    /// respawning threads per call.
-    pub fn global() -> &'static ExecutionContext {
-        static GLOBAL: OnceLock<ExecutionContext> = OnceLock::new();
-        GLOBAL.get_or_init(|| ExecutionContext::new(0))
     }
 
     /// Total execution lanes of this context (pool threads plus the
@@ -327,6 +316,63 @@ impl ExecutionContext {
             }
             return;
         }
+    }
+}
+
+/// The shard rule of every parallel stage: `0..count` split into equal
+/// contiguous ranges (the last one may be shorter), in index order — at
+/// most one per worker and at most one per started `min_per_shard` items.
+/// An input too small to split, or an empty one, is a single range, so a
+/// stage never pays for a fork-join it cannot win back.
+///
+/// ```
+/// use lsiq_exec::shard_ranges;
+///
+/// assert_eq!(shard_ranges(4, 1_000, 128), [0..250, 250..500, 500..750, 750..1_000]);
+/// assert_eq!(shard_ranges(4, 200, 128), [0..100, 100..200]);
+/// assert_eq!(shard_ranges(4, 0, 128), [0..0]);
+/// ```
+pub fn shard_ranges(workers: usize, count: usize, min_per_shard: usize) -> Vec<Range<usize>> {
+    let shards = workers.min(count.div_ceil(min_per_shard.max(1))).max(1);
+    let len = count.div_ceil(shards).max(1);
+    // `count.max(1)`: an empty input is one empty range, so work runs once.
+    (0..count.max(1))
+        .step_by(len)
+        .map(|start| start..(start + len).min(count))
+        .collect()
+}
+
+/// Maps every range of [`shard_ranges`] through `work`, returning one result
+/// per range in index order.  The shards run on `context`'s pool when there
+/// is more than one; a single shard, or a missing context (which counts as
+/// one worker), runs inline on the caller.
+///
+/// ```
+/// use lsiq_exec::{map_shards, ExecutionContext};
+///
+/// let context = ExecutionContext::new(2);
+/// let sums = map_shards(Some(&context), 300, 128, |range| range.sum::<usize>());
+/// assert_eq!(sums, [11_175, 33_675]);
+/// assert_eq!(map_shards(None, 300, 128, |range| range.len()), [300]);
+/// ```
+pub fn map_shards<T, F>(
+    context: Option<&ExecutionContext>,
+    count: usize,
+    min_per_shard: usize,
+    work: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> T + Sync,
+{
+    let mut ranges = shard_ranges(
+        context.map_or(1, ExecutionContext::workers),
+        count,
+        min_per_shard,
+    );
+    match context {
+        Some(context) if ranges.len() > 1 => context.scope_map(ranges, work),
+        _ => vec![work(ranges.pop().expect("at least one range"))],
     }
 }
 
@@ -508,7 +554,6 @@ mod tests {
         let context = ExecutionContext::new(2);
         assert_eq!(context.scope(|_| 42), 42);
         assert_eq!(context.workers(), 2);
-        assert!(ExecutionContext::global().workers() >= 1);
         assert!(format!("{context:?}").contains("workers"));
     }
 
@@ -536,6 +581,68 @@ mod tests {
         let jobs_frozen = JOBS.value();
         context.scope(|scope| scope.spawn(|| {}));
         assert_eq!(JOBS.value(), jobs_frozen);
+    }
+
+    /// The lengths of a partition, in order.
+    fn lens(ranges: Vec<Range<usize>>) -> Vec<usize> {
+        ranges.into_iter().map(|range| range.len()).collect()
+    }
+
+    #[test]
+    fn shard_ranges_cap_workers_clamp_tiny_inputs_and_cover_every_index() {
+        // Worker cap: a large input gets one contiguous range per worker.
+        assert_eq!(shard_ranges(8, 100_000, 128).len(), 8);
+        assert_eq!(lens(shard_ranges(2, 100_000, 128)), [50_000, 50_000]);
+        // Tiny inputs clamp to one shard; the per-shard minimum caps the
+        // shard count before the worker count does.
+        assert_eq!(lens(shard_ranges(16, 46, 64)), [46]);
+        assert_eq!(lens(shard_ranges(8, 1, 128)), [1]);
+        assert_eq!(lens(shard_ranges(16, 65, 64)), [33, 32]);
+        assert_eq!(shard_ranges(16, 64 * 16, 64).len(), 16);
+        assert!(shard_ranges(8, 256, 128).len() <= 2);
+        // One worker never splits; a zero minimum splits up to the workers.
+        assert_eq!(lens(shard_ranges(1, 10_000, 64)), [10_000]);
+        assert_eq!(lens(shard_ranges(3, 5, 0)), [2, 2, 1]);
+        // Empty input: one empty range, so the work still runs once.
+        for (workers, min) in [(8, 128), (0, 0)] {
+            let ranges = shard_ranges(workers, 0, min);
+            assert_eq!(ranges.len(), 1);
+            assert!(ranges[0].is_empty() && ranges[0].start == 0);
+        }
+        // Every partition is contiguous, ordered and covers `0..count`.
+        for workers in 1..=9 {
+            for count in [1, 2, 63, 64, 65, 127, 128, 129, 1_000, 4_097] {
+                for min in [1, 64, 128] {
+                    let ranges = shard_ranges(workers, count, min);
+                    assert!(ranges.len() <= workers && !ranges.is_empty());
+                    assert!(ranges.len() <= count.div_ceil(min));
+                    assert_eq!(ranges[0].start, 0);
+                    assert_eq!(ranges.last().map(|range| range.end), Some(count));
+                    for pair in ranges.windows(2) {
+                        assert_eq!(pair[0].end, pair[1].start);
+                        assert!(!pair[0].is_empty());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn map_shards_runs_inline_without_a_context_and_in_order_on_a_pool() {
+        let work = |range: Range<usize>| range.collect::<Vec<usize>>();
+        assert_eq!(
+            map_shards(None, 1_000, 128, work),
+            [(0..1_000).collect::<Vec<_>>()]
+        );
+        assert_eq!(map_shards(None, 0, 128, work), [Vec::<usize>::new()]);
+        for workers in [1, 2, 5] {
+            let context = ExecutionContext::new(workers);
+            let shards = map_shards(Some(&context), 1_000, 128, work);
+            assert_eq!(shards.len(), workers, "workers = {workers}");
+            let flat: Vec<usize> = shards.into_iter().flatten().collect();
+            assert_eq!(flat, (0..1_000).collect::<Vec<_>>(), "workers = {workers}");
+            assert_eq!(map_shards(Some(&context), 10, 128, work).len(), 1);
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::model::Fault;
 use crate::simulator::FaultSimulator;
 use crate::telemetry;
 use crate::universe::FaultUniverse;
-use lsiq_exec::{ExecutionContext, LaneWidth};
+use lsiq_exec::{map_shards, ExecutionContext, LaneWidth};
 use lsiq_netlist::circuit::Circuit;
 use lsiq_obs::Span;
 use lsiq_sim::cache::GoodMachineCache;
@@ -89,7 +89,6 @@ pub struct IncrementalSimulator<'c> {
     compiled: CompiledCircuit<'c>,
     drop_detected: bool,
     collapse: bool,
-    threads: usize,
     context: Option<&'c ExecutionContext>,
     lanes: LaneWidth,
     cache: Option<&'c GoodMachineCache>,
@@ -110,7 +109,6 @@ impl<'c> IncrementalSimulator<'c> {
             compiled: CompiledCircuit::new(circuit),
             drop_detected: true,
             collapse: true,
-            threads: 0,
             context: None,
             lanes: LaneWidth::Auto,
             cache: None,
@@ -137,8 +135,8 @@ impl<'c> IncrementalSimulator<'c> {
     }
 
     /// Binds the simulator to a persistent worker pool and shards the
-    /// simulation classes across its workers.  Without this (and without
-    /// [`with_threads`](Self::with_threads)) runs are single-threaded.
+    /// simulation classes across its workers.  Without this, runs are
+    /// single-threaded on the caller.
     pub fn with_context(mut self, context: &'c ExecutionContext) -> Self {
         self.context = Some(context);
         self
@@ -157,32 +155,6 @@ impl<'c> IncrementalSimulator<'c> {
     pub fn with_collapsing(mut self, enabled: bool) -> Self {
         self.collapse = enabled;
         self
-    }
-
-    /// Overrides the worker-thread count; `0` (the default) means one
-    /// thread, or the bound context's worker count if one is bound.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The worker pool multi-shard runs execute on: the bound context, or
-    /// the process-wide default pool.
-    fn execution_context(&self) -> &ExecutionContext {
-        self.context.unwrap_or_else(|| ExecutionContext::global())
-    }
-
-    /// The shard count a run would use for `class_count` simulation classes.
-    fn shard_count(&self, class_count: usize) -> usize {
-        let requested = if self.threads > 0 {
-            self.threads
-        } else if let Some(context) = self.context {
-            context.workers()
-        } else {
-            1
-        };
-        let useful = class_count.div_ceil(Self::MIN_CLASSES_PER_SHARD);
-        requested.min(useful).max(1)
     }
 
     /// Partitions the universe's fault indices into groups that provably
@@ -228,35 +200,24 @@ impl<'c> IncrementalSimulator<'c> {
             })
             .collect();
 
-        let shards = self.shard_count(representatives.len());
-        let shard_len = representatives.len().div_ceil(shards);
         let drop_detected = self.drop_detected;
         let compiled = &self.compiled;
-        let detections: Vec<Vec<Option<usize>>> = if shards == 1 {
-            vec![simulate_shard(
-                compiled,
-                &chunks,
-                &representatives,
-                drop_detected,
-            )]
-        } else {
-            let shard_faults: Vec<&[Fault]> = representatives.chunks(shard_len).collect();
-            self.execution_context().scope_map(shard_faults, |shard| {
-                simulate_shard(compiled, &chunks, shard, drop_detected)
-            })
-        };
+        let detections = map_shards(
+            self.context,
+            representatives.len(),
+            Self::MIN_CLASSES_PER_SHARD,
+            |range| simulate_shard(compiled, &chunks, &representatives[range], drop_detected),
+        );
 
+        // The shards are contiguous and in class order.
         let mut drops = 0u64;
-        for (shard, shard_detections) in detections.into_iter().enumerate() {
-            let base = shard * shard_len;
-            for (local, detection) in shard_detections.into_iter().enumerate() {
-                if let Some(pattern) = detection {
-                    if drop_detected {
-                        drops += 1;
-                    }
-                    for &member in classes.members_of((base + local) as u32) {
-                        list.mark_detected(member as usize, pattern);
-                    }
+        for (class, detection) in detections.into_iter().flatten().enumerate() {
+            if let Some(pattern) = detection {
+                if drop_detected {
+                    drops += 1;
+                }
+                for &member in classes.members_of(class as u32) {
+                    list.mark_detected(member as usize, pattern);
                 }
             }
         }
@@ -494,15 +455,17 @@ mod tests {
         });
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..1 << 9).map(|v| Pattern::from_integer(v, 9)).collect();
+        let single = ExecutionContext::new(1);
         let reference = IncrementalSimulator::new(&circuit)
-            .with_threads(1)
+            .with_context(&single)
             .run(&universe, &patterns);
         let cache = GoodMachineCache::new();
         for lanes in LaneWidth::EXPLICIT {
             for threads in [1, 3] {
+                let context = ExecutionContext::new(threads);
                 let list = IncrementalSimulator::new(&circuit)
                     .with_lanes(lanes)
-                    .with_threads(threads)
+                    .with_context(&context)
                     .with_cache(&cache)
                     .run(&universe, &patterns);
                 assert_eq!(reference, list, "lanes = {lanes}, threads = {threads}");
@@ -525,8 +488,9 @@ mod tests {
         let patterns = random_patterns(12, 100, 31);
         let reference = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
         for threads in [2, 3, 8] {
+            let context = ExecutionContext::new(threads);
             let sharded = IncrementalSimulator::new(&circuit)
-                .with_threads(threads)
+                .with_context(&context)
                 .run(&universe, &patterns);
             assert_eq!(reference, sharded, "threads = {threads}");
         }
@@ -540,18 +504,6 @@ mod tests {
                 assert_eq!(reference, bound, "workers = {workers}");
             }
         }
-    }
-
-    #[test]
-    fn shard_count_scales_down_for_tiny_universes() {
-        let circuit = library::c17();
-        let simulator = IncrementalSimulator::new(&circuit).with_threads(16);
-        assert_eq!(simulator.shard_count(46), 1);
-        assert_eq!(simulator.shard_count(0), 1);
-        assert_eq!(simulator.shard_count(64 * 16), 16);
-        assert_eq!(simulator.shard_count(65), 2);
-        // Default is single-threaded.
-        assert_eq!(IncrementalSimulator::new(&circuit).shard_count(10_000), 1);
     }
 
     #[test]

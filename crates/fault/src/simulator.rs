@@ -123,24 +123,22 @@ impl Default for EngineOptions<'_> {
 /// alone.  Import it alongside the kind:
 ///
 /// ```
-/// use lsiq_fault::simulator::{BuildEngine, EngineKind};
+/// use lsiq_fault::simulator::{BuildEngine, EngineKind, EngineOptions};
 /// use lsiq_netlist::library;
 ///
 /// let circuit = library::c17();
-/// let engine = EngineKind::Deductive.build(&circuit);
+/// let engine = EngineKind::Deductive.build_configured(&circuit, &EngineOptions::default());
 /// assert_eq!(engine.name(), "deductive");
 /// ```
 pub trait BuildEngine {
-    /// Instantiates the engine for `circuit` with its default settings
-    /// (fault dropping on; collapsing on for the deductive and incremental
-    /// engines).
-    fn build<'c>(self, circuit: &'c Circuit) -> Box<dyn FaultSimulator + 'c>;
-
-    /// Instantiates the engine with a full [`EngineOptions`] bundle;
-    /// engines apply the options they understand and ignore the rest.  A
-    /// bound `context` shards the incremental engine's simulation classes
-    /// across the pool's workers; the single-threaded engines simply run on
-    /// the calling thread (which may itself be one of the pool's workers).
+    /// Instantiates the engine with a full [`EngineOptions`] bundle
+    /// ([`EngineOptions::default`] for the engine's defaults: fault
+    /// dropping on, collapsing on for the deductive and incremental
+    /// engines, single-threaded); engines apply the options they understand
+    /// and ignore the rest.  A bound `context` shards the incremental
+    /// engine's simulation classes across the pool's workers; the
+    /// single-threaded engines simply run on the calling thread (which may
+    /// itself be one of the pool's workers).
     fn build_configured<'c>(
         self,
         circuit: &'c Circuit,
@@ -149,10 +147,6 @@ pub trait BuildEngine {
 }
 
 impl BuildEngine for EngineKind {
-    fn build<'c>(self, circuit: &'c Circuit) -> Box<dyn FaultSimulator + 'c> {
-        self.build_configured(circuit, &EngineOptions::default())
-    }
-
     fn build_configured<'c>(
         self,
         circuit: &'c Circuit,
@@ -221,7 +215,9 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-        let reference = EngineKind::Serial.build(&circuit).run(&universe, &patterns);
+        let reference = EngineKind::Serial
+            .build_configured(&circuit, &EngineOptions::default())
+            .run(&universe, &patterns);
         for kind in EngineKind::ALL {
             let engine = kind.build_configured(
                 &circuit,
@@ -241,7 +237,7 @@ mod tests {
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
         for kind in EngineKind::ALL {
-            let engine = kind.build(&circuit);
+            let engine = kind.build_configured(&circuit, &EngineOptions::default());
             assert_eq!(engine.name(), kind.name());
             assert_eq!(
                 engine.run(&universe, &patterns).detected_count(),
@@ -268,7 +264,9 @@ mod tests {
         let circuit = library::alu4();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..200).map(|v| Pattern::from_integer(v, 10)).collect();
-        let reference = EngineKind::Serial.build(&circuit).run(&universe, &patterns);
+        let reference = EngineKind::Serial
+            .build_configured(&circuit, &EngineOptions::default())
+            .run(&universe, &patterns);
         for kind in EngineKind::ALL {
             for lanes in [LaneWidth::Auto, LaneWidth::X1, LaneWidth::X8] {
                 let engine = kind.build_configured(

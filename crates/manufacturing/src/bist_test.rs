@@ -124,6 +124,7 @@ mod tests {
     use super::*;
     use crate::lot::ModelLotConfig;
     use lsiq_bist::signature::BistPlan;
+    use lsiq_exec::{ExecutionContext, LaneWidth};
     use lsiq_fault::universe::FaultUniverse;
     use lsiq_netlist::library;
     use lsiq_sim::pattern::{Pattern, PatternSet};
@@ -132,7 +133,19 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-        let dictionary = SignatureDictionary::build(&circuit, &universe, &patterns, &plan);
+        let dictionary = SignatureDictionary::build_sweep_cached(
+            &ExecutionContext::new(1),
+            &circuit,
+            &universe,
+            &patterns,
+            plan.session_len,
+            &[plan.signature_width],
+            &[patterns.len()],
+            LaneWidth::Auto,
+            None,
+        )
+        .swap_remove(0)
+        .swap_remove(0);
         (dictionary, universe.len())
     }
 

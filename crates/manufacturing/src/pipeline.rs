@@ -16,17 +16,15 @@
 //!   truths, one lot each — across threads and aggregates the per-lot
 //!   reject-rate and field-quality estimates.
 //!
-//! Both levels execute on a persistent [`ExecutionContext`] worker pool —
-//! the one bound via [`ParallelLotRunner::with_context`] /
-//! [`LotSweep::with_context`] (a `Session`'s pool, typically), or the
-//! process-wide default pool.  A sweep therefore reuses the same parked
-//! workers across all its `(y, n0)` points instead of respawning threads per
-//! lot, and reject tabulation streams each record exactly once into
-//! per-shard counting-sort accumulators merged at join.
-//!
-//! Configuration flows through the typed `lsiq_exec::RunConfig`; the
-//! `LSIQ_LOT_THREADS` environment variable survives as a compatibility layer
-//! consumed by [`ParallelLotRunner::new`] via [`RunConfig::from_env`].
+//! Both levels execute on the persistent [`ExecutionContext`] worker pool
+//! they are given — via [`ParallelLotRunner::with_context`] /
+//! [`LotSweep::with_context`], a `Session`'s pool typically — and shard by
+//! the one rule of [`map_shards`].  A sweep therefore reuses the same
+//! parked workers across all its `(y, n0)` points instead of respawning
+//! threads per lot, and reject tabulation streams each record exactly once
+//! into per-shard counting-sort accumulators merged at join.  Nothing here
+//! reads the environment: the worker count is the context's (a `Session`
+//! sizes it from `RunConfig`, where `LSIQ_LOT_THREADS` is parsed).
 
 use crate::bist_test::{SessionRecord, SignatureTester};
 use crate::chip::Chip;
@@ -35,7 +33,7 @@ use crate::field::FieldOutcome;
 use crate::lot::{ChipLot, ModelLotConfig, PhysicalLotConfig};
 use crate::tester::{TestRecord, WaferTester};
 use lsiq_bist::signature::SignatureDictionary;
-use lsiq_exec::{ExecutionContext, RunConfig};
+use lsiq_exec::{map_shards, shard_ranges, ExecutionContext};
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_stats::rng::{Rng, SplitMix64};
@@ -60,26 +58,17 @@ use lsiq_stats::rng::{Rng, SplitMix64};
 ///     seed: 42,
 /// };
 /// let serial = ChipLot::from_model(&config);
-/// // On a session's persistent pool…
+/// // On a session's persistent pool, sharded across its four workers.
 /// let context = ExecutionContext::new(4);
-/// let pooled = ParallelLotRunner::with_context(&context).generate_model_lot(&config);
-/// // …or on the process-wide default pool with an explicit shard count.
-/// let parallel = ParallelLotRunner::new()
-///     .with_threads(4)
-///     .generate_model_lot(&config);
-/// assert_eq!(serial, pooled); // byte-identical at any thread count
-/// assert_eq!(serial, parallel);
+/// let runner = ParallelLotRunner::with_context(&context);
+/// assert_eq!(runner.threads_for(config.chips), 4);
+/// assert_eq!(serial, runner.generate_model_lot(&config)); // byte-identical
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelLotRunner<'ctx> {
-    threads: usize,
+    /// The pool the stages shard across; `None` (a sweep's per-lot runner)
+    /// runs every stage inline on the caller.
     context: Option<&'ctx ExecutionContext>,
-}
-
-impl Default for ParallelLotRunner<'_> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<'ctx> ParallelLotRunner<'ctx> {
@@ -87,119 +76,35 @@ impl<'ctx> ParallelLotRunner<'ctx> {
     /// overhead costs more than the parallelism recovers.
     pub(crate) const MIN_ITEMS_PER_SHARD: usize = 128;
 
-    /// Creates a runner honouring the `LSIQ_LOT_THREADS` environment
-    /// variable; unset, it uses one worker per available hardware thread.
-    /// Work executes on the process-wide default pool
-    /// ([`ExecutionContext::global`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`](lsiq_exec::ConfigError) message when
-    /// an `LSIQ_*` variable is set to an invalid value, since silently
-    /// falling back would invalidate an intended scaling measurement.  The
-    /// typed constructor [`with_context`](Self::with_context) never touches
-    /// the environment.
-    pub fn new() -> Self {
-        let threads = match RunConfig::from_env() {
-            Ok(config) => config.workers().unwrap_or(0),
-            Err(error) => panic!("{error}"),
-        };
-        ParallelLotRunner {
-            threads,
-            context: None,
-        }
-    }
-
-    /// Creates a runner bound to a persistent worker pool; the shard count
-    /// follows the context's worker count unless overridden with
-    /// [`with_threads`](Self::with_threads).  The environment is not
-    /// consulted.
+    /// Creates a runner whose stages shard across `context`'s workers.
     pub fn with_context(context: &'ctx ExecutionContext) -> Self {
         ParallelLotRunner {
-            threads: 0,
             context: Some(context),
         }
     }
 
-    /// Overrides the worker-thread count; `0` restores the default (the
-    /// bound context's worker count, or the available hardware parallelism).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The worker pool this runner executes on.
-    fn execution_context(&self) -> &ExecutionContext {
-        self.context.unwrap_or_else(|| ExecutionContext::global())
-    }
-
-    /// The configured worker count before any per-run clamping: the explicit
-    /// override, or the pool's worker count.  Deliberately avoids touching
-    /// [`ExecutionContext::global`] so that runs which fold back to a single
-    /// inline shard never spawn the process-wide pool.
-    fn requested_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else if let Some(context) = self.context {
-            context.workers()
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
-    /// The worker-thread count a run over `items` work items would use.
+    /// The number of shards a run over `items` work items uses.
     pub fn threads_for(&self, items: usize) -> usize {
-        self.requested_threads()
-            .min(items.div_ceil(Self::MIN_ITEMS_PER_SHARD))
-            .max(1)
-    }
-
-    /// Splits `count` indices into per-shard ranges, maps every range
-    /// through `work` on the pool, and returns one result per shard in index
-    /// order.  The building block of both the concatenating
-    /// [`sharded`](Self::sharded) map and the fold-style accumulator merges
-    /// ([`experiment`](Self::experiment)).
-    pub(crate) fn sharded_chunks<T, F>(&self, count: usize, min_per_shard: usize, work: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(std::ops::Range<usize>) -> T + Sync,
-    {
-        let threads = self
-            .requested_threads()
-            .min(count.div_ceil(min_per_shard.max(1)))
-            .max(1);
-        if threads <= 1 || count == 0 {
-            return vec![work(0..count)];
-        }
-        let shard_size = count.div_ceil(threads);
-        let ranges: Vec<std::ops::Range<usize>> = (0..count)
-            .step_by(shard_size)
-            .map(|start| start..(start + shard_size).min(count))
-            .collect();
-        self.execution_context().scope_map(ranges, work)
+        shard_ranges(
+            self.context.map_or(1, ExecutionContext::workers),
+            items,
+            Self::MIN_ITEMS_PER_SHARD,
+        )
+        .len()
     }
 
     /// Maps `count` indices through `work` (one call per contiguous index
-    /// range, results concatenated in index order), sharded across the pool.
-    fn sharded<T, F>(&self, count: usize, work: F) -> Vec<T>
+    /// range of the [`map_shards`] rule, results concatenated in index
+    /// order), sharded across the pool.  `min_per_shard` is
+    /// [`MIN_ITEMS_PER_SHARD`](Self::MIN_ITEMS_PER_SHARD) for chips, `1`
+    /// for coarse work items (whole lots) whose cost dwarfs the scheduling
+    /// overhead.
+    fn sharded<T, F>(&self, count: usize, min_per_shard: usize, work: F) -> Vec<T>
     where
         T: Send,
         F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
     {
-        self.sharded_min(count, Self::MIN_ITEMS_PER_SHARD, work)
-    }
-
-    /// [`sharded`](Self::sharded) with an explicit minimum number of items
-    /// per shard — `1` for coarse work items (whole lots) whose cost dwarfs
-    /// the scheduling overhead.
-    fn sharded_min<T, F>(&self, count: usize, min_per_shard: usize, work: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-    {
-        let mut shards = self.sharded_chunks(count, min_per_shard, work);
+        let mut shards = map_shards(self.context, count, min_per_shard, work);
         if shards.len() == 1 {
             return shards.pop().expect("one shard");
         }
@@ -218,7 +123,7 @@ impl<'ctx> ParallelLotRunner<'ctx> {
     /// Panics on the same invalid configurations as [`ChipLot::from_model`].
     pub fn generate_model_lot(&self, config: &ModelLotConfig) -> ChipLot {
         ChipLot::validate_model(config);
-        let chips = self.sharded(config.chips, |range| {
+        let chips = self.sharded(config.chips, Self::MIN_ITEMS_PER_SHARD, |range| {
             range.map(|id| ChipLot::model_chip(config, id)).collect()
         });
         ChipLot::from_chips(chips, config.fault_universe_size)
@@ -233,7 +138,7 @@ impl<'ctx> ParallelLotRunner<'ctx> {
     /// [`ChipLot::from_physical`].
     pub fn generate_physical_lot(&self, config: &PhysicalLotConfig) -> ChipLot {
         let mapper = ChipLot::physical_mapper(config);
-        let chips = self.sharded(config.chips, |range| {
+        let chips = self.sharded(config.chips, Self::MIN_ITEMS_PER_SHARD, |range| {
             range
                 .map(|id| ChipLot::physical_chip(config, &mapper, id))
                 .collect()
@@ -246,7 +151,9 @@ impl<'ctx> ParallelLotRunner<'ctx> {
     pub fn test_lot(&self, dictionary: &FaultDictionary, lot: &ChipLot) -> Vec<TestRecord> {
         let tester = WaferTester::new(dictionary);
         let chips: &[Chip] = lot.chips();
-        self.sharded(chips.len(), |range| tester.test_chips(&chips[range]))
+        self.sharded(chips.len(), Self::MIN_ITEMS_PER_SHARD, |range| {
+            tester.test_chips(&chips[range])
+        })
     }
 
     /// BIST-tests a lot ([`SignatureTester::test_lot`]) with the chips
@@ -260,7 +167,9 @@ impl<'ctx> ParallelLotRunner<'ctx> {
     ) -> Vec<SessionRecord> {
         let tester = SignatureTester::new(dictionary);
         let chips: &[Chip] = lot.chips();
-        self.sharded(chips.len(), |range| tester.test_chips(&chips[range]))
+        self.sharded(chips.len(), Self::MIN_ITEMS_PER_SHARD, |range| {
+            tester.test_chips(&chips[range])
+        })
     }
 
     /// Tabulates a reject experiment ([`RejectExperiment::tabulate`]) by
@@ -280,8 +189,11 @@ impl<'ctx> ParallelLotRunner<'ctx> {
         coverage: &CoverageCurve,
         checkpoints: &[usize],
     ) -> RejectExperiment {
-        let shard_histograms =
-            self.sharded_chunks(records.len(), Self::MIN_ITEMS_PER_SHARD, |range| {
+        let shard_histograms = map_shards(
+            self.context,
+            records.len(),
+            Self::MIN_ITEMS_PER_SHARD,
+            |range| {
                 let mut counts: Vec<usize> = Vec::new();
                 for record in &records[range] {
                     if let Some(first) = record.first_fail {
@@ -292,7 +204,8 @@ impl<'ctx> ParallelLotRunner<'ctx> {
                     }
                 }
                 counts
-            });
+            },
+        );
         let mut fail_counts: Vec<usize> = Vec::new();
         for shard in shard_histograms {
             if shard.len() > fail_counts.len() {
@@ -415,12 +328,8 @@ pub struct LotSweep<'ctx> {
     pub fault_universe_size: usize,
     /// Base seed; lot `i` uses the `i`-th stream of it.
     pub base_seed: u64,
-    /// Worker threads to fan lots across (`0` defers to the bound context's
-    /// worker count — or, without a context, to `LSIQ_LOT_THREADS`, then the
-    /// available hardware parallelism).
-    pub threads: usize,
-    /// The persistent worker pool to fan out on; `None` falls back to the
-    /// compatibility path (`LSIQ_LOT_THREADS` + the process-wide pool).
+    /// The persistent worker pool to fan the lots out on; `None` runs them
+    /// one after another on the caller.
     pub context: Option<&'ctx ExecutionContext>,
 }
 
@@ -452,9 +361,7 @@ impl<'ctx> LotSweep<'ctx> {
     /// Each lot runs its own pipeline serially (the parallelism is across
     /// lots here), so a sweep of many small lots and a
     /// [`ParallelLotRunner`] run of one large lot saturate the hardware the
-    /// same way.  A `threads` of `0` defers to the bound context's worker
-    /// count (or `LSIQ_LOT_THREADS`, then the available hardware
-    /// parallelism), exactly like the runner.
+    /// same way.
     pub fn run(
         &self,
         dictionary: &FaultDictionary,
@@ -463,15 +370,10 @@ impl<'ctx> LotSweep<'ctx> {
     ) -> Vec<SweepResult> {
         // Fan lots (not chips) across threads: each worker runs whole
         // pipelines with a single-threaded runner.
-        let fan_out = match self.context {
-            Some(context) => ParallelLotRunner::with_context(context),
-            None => ParallelLotRunner::new(), // honours LSIQ_LOT_THREADS
-        }
-        .with_threads(self.threads);
-        let per_lot = ParallelLotRunner {
-            threads: 1,
-            context: None,
+        let fan_out = ParallelLotRunner {
+            context: self.context,
         };
+        let per_lot = ParallelLotRunner { context: None };
         let run_point = |index: usize| -> SweepResult {
             let point = points[index];
             let seed = self.lot_seed(index);
@@ -491,7 +393,7 @@ impl<'ctx> LotSweep<'ctx> {
         };
         // A sweep has few, heavy work items; shard at item granularity
         // rather than ParallelLotRunner::MIN_ITEMS_PER_SHARD.
-        fan_out.sharded_min(points.len(), 1, |range| {
+        fan_out.sharded(points.len(), 1, |range| {
             range.map(run_point).collect::<Vec<_>>()
         })
     }
@@ -533,12 +435,11 @@ mod tests {
         let config = model_config(2_000);
         let serial = ChipLot::from_model(&config);
         for threads in [1, 2, 3, 8, 64] {
-            let parallel = ParallelLotRunner::new()
-                .with_threads(threads)
-                .generate_model_lot(&config);
+            let context = ExecutionContext::new(threads);
+            let parallel = ParallelLotRunner::with_context(&context).generate_model_lot(&config);
             assert_eq!(serial, parallel, "threads = {threads}");
         }
-        // The same through an explicit pool instead of the global one.
+        // A second round on fresh pools of other sizes.
         for workers in [1, 2, 5] {
             let context = ExecutionContext::new(workers);
             let pooled = ParallelLotRunner::with_context(&context).generate_model_lot(&config);
@@ -556,7 +457,8 @@ mod tests {
         let serial_experiment =
             RejectExperiment::tabulate(&serial_records, &coverage, &checkpoints);
         for threads in [2, 5] {
-            let runner = ParallelLotRunner::new().with_threads(threads);
+            let context = ExecutionContext::new(threads);
+            let runner = ParallelLotRunner::with_context(&context);
             assert_eq!(serial_records, runner.test_lot(&dictionary, &lot));
             assert_eq!(
                 serial_experiment,
@@ -568,23 +470,29 @@ mod tests {
     #[test]
     fn parallel_bist_testing_matches_serial_at_every_thread_count() {
         use crate::bist_test::SignatureTester;
-        use lsiq_bist::signature::{BistPlan, SignatureDictionary};
+        use lsiq_bist::signature::SignatureDictionary;
+        use lsiq_exec::LaneWidth;
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns: PatternSet = (0..32).map(|v| Pattern::from_integer(v, 5)).collect();
-        let dictionary = SignatureDictionary::build(
+        let dictionary = SignatureDictionary::build_sweep_cached(
+            &ExecutionContext::new(1),
             &circuit,
             &universe,
             &patterns,
-            &BistPlan {
-                session_len: 8,
-                signature_width: 8,
-            },
-        );
+            8,
+            &[8],
+            &[patterns.len()],
+            LaneWidth::Auto,
+            None,
+        )
+        .swap_remove(0)
+        .swap_remove(0);
         let lot = ChipLot::from_model(&model_config(universe.len()));
         let serial = SignatureTester::new(&dictionary).test_lot(&lot);
         for threads in [2, 5] {
-            let runner = ParallelLotRunner::new().with_threads(threads);
+            let context = ExecutionContext::new(threads);
+            let runner = ParallelLotRunner::with_context(&context);
             assert_eq!(
                 serial,
                 runner.test_lot_bist(&dictionary, &lot),
@@ -604,7 +512,8 @@ mod tests {
         let config = model_config(universe);
         let lot = ChipLot::from_model(&config);
         let records = WaferTester::new(&dictionary).test_lot(&lot);
-        let runner = ParallelLotRunner::new().with_threads(3);
+        let context = ExecutionContext::new(3);
+        let runner = ParallelLotRunner::with_context(&context);
         // Sparse, unsorted-looking and beyond-the-curve checkpoints all
         // reduce to the serial reference.
         for checkpoints in [vec![], vec![1], vec![5, 1, 500], vec![1_000_000]] {
@@ -624,7 +533,8 @@ mod tests {
     fn run_model_line_is_consistent() {
         let (dictionary, coverage, universe) = fixture();
         let config = model_config(universe);
-        let outcome = ParallelLotRunner::new().with_threads(4).run_model_line(
+        let context = ExecutionContext::new(4);
+        let outcome = ParallelLotRunner::with_context(&context).run_model_line(
             &config,
             &dictionary,
             &coverage,
@@ -640,28 +550,26 @@ mod tests {
         let (dictionary, coverage, universe) = fixture();
         let points = LotSweep::grid(&[0.1, 0.3], &[2.0, 4.0, 8.0]);
         assert_eq!(points.len(), 6);
-        let serial = LotSweep {
+        let inline = LotSweep {
             chips: 150,
             fault_universe_size: universe,
             base_seed: 99,
-            threads: 1,
             context: None,
         };
-        let parallel = LotSweep {
-            threads: 4,
-            ..serial
-        };
-        let serial_results = serial.run(&dictionary, &coverage, &points);
-        let parallel_results = parallel.run(&dictionary, &coverage, &points);
+        let one = ExecutionContext::new(1);
+        let four = ExecutionContext::new(4);
+        let serial_results = inline
+            .with_context(&one)
+            .run(&dictionary, &coverage, &points);
+        let parallel_results = inline
+            .with_context(&four)
+            .run(&dictionary, &coverage, &points);
         assert_eq!(serial_results, parallel_results);
+        assert_eq!(serial_results, inline.run(&dictionary, &coverage, &points));
         // A sweep bound to a persistent pool reuses it across all points —
         // and across repeated runs — with identical results.
         let context = ExecutionContext::new(3);
-        let pooled = LotSweep {
-            threads: 0,
-            ..serial
-        }
-        .with_context(&context);
+        let pooled = inline.with_context(&context);
         for _ in 0..2 {
             assert_eq!(serial_results, pooled.run(&dictionary, &coverage, &points));
         }
@@ -670,22 +578,6 @@ mod tests {
             assert_eq!(result.outcome.records.len(), 150);
         }
         // Distinct points get distinct seeds.
-        assert_ne!(serial.lot_seed(0), serial.lot_seed(1));
-    }
-
-    #[test]
-    fn threads_for_respects_override_and_small_lots() {
-        let runner = ParallelLotRunner::new().with_threads(8);
-        assert_eq!(runner.threads_for(100_000), 8);
-        assert_eq!(runner.threads_for(1), 1);
-        assert_eq!(runner.threads_for(0), 1);
-        // Tiny lots never fan out past the shard minimum.
-        assert!(runner.threads_for(256) <= 2);
-        // A context-bound runner defaults to the pool's worker count.
-        let context = ExecutionContext::new(3);
-        assert_eq!(
-            ParallelLotRunner::with_context(&context).threads_for(100_000),
-            3
-        );
+        assert_ne!(inline.lot_seed(0), inline.lot_seed(1));
     }
 }

@@ -23,7 +23,7 @@ use crate::experiment::{RejectExperiment, RejectRow};
 use crate::field::FieldOutcome;
 use crate::lot::{ChipLot, ModelLotConfig};
 use crate::pipeline::ParallelLotRunner;
-use lsiq_exec::ExecutionContext;
+use lsiq_exec::{map_shards, ExecutionContext};
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_obs::{Counter, Span};
@@ -118,6 +118,7 @@ impl LotFold {
 /// [`ParallelLotRunner::run_model_line`].
 ///
 /// ```
+/// use lsiq_exec::ExecutionContext;
 /// use lsiq_fault::dictionary::FaultDictionary;
 /// use lsiq_fault::incremental::IncrementalSimulator;
 /// use lsiq_fault::simulator::FaultSimulator;
@@ -141,7 +142,8 @@ impl LotFold {
 ///     fault_universe_size: universe.len(),
 ///     seed: 1981,
 /// };
-/// let streamed = StreamingLotExecutor::new()
+/// let context = ExecutionContext::new(2);
+/// let streamed = StreamingLotExecutor::with_context(&context)
 ///     .with_block_len(1_000)
 ///     .stream_model_lot(&config, &dictionary, &coverage, &[4, 8, 16]);
 /// assert_eq!(streamed.chips, 10_000);
@@ -150,14 +152,8 @@ impl LotFold {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct StreamingLotExecutor<'ctx> {
-    runner: ParallelLotRunner<'ctx>,
+    context: &'ctx ExecutionContext,
     block_len: usize,
-}
-
-impl Default for StreamingLotExecutor<'_> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<'ctx> StreamingLotExecutor<'ctx> {
@@ -165,34 +161,12 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
     /// block, small enough that a block is milliseconds of work.
     pub const DEFAULT_BLOCK_LEN: usize = 65_536;
 
-    /// Creates an executor on the process-wide default pool, honouring the
-    /// `LSIQ_LOT_THREADS` environment variable exactly like
-    /// [`ParallelLotRunner::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`](lsiq_exec::ConfigError) message when
-    /// an `LSIQ_*` variable is set to an invalid value.
-    pub fn new() -> Self {
-        StreamingLotExecutor {
-            runner: ParallelLotRunner::new(),
-            block_len: Self::DEFAULT_BLOCK_LEN,
-        }
-    }
-
-    /// Creates an executor bound to a persistent worker pool; the
-    /// environment is not consulted.
+    /// Creates an executor whose blocks shard across `context`'s workers.
     pub fn with_context(context: &'ctx ExecutionContext) -> Self {
         StreamingLotExecutor {
-            runner: ParallelLotRunner::with_context(context),
+            context,
             block_len: Self::DEFAULT_BLOCK_LEN,
         }
-    }
-
-    /// Overrides the worker-thread count; `0` restores the default.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.runner = self.runner.with_threads(threads);
-        self
     }
 
     /// Sets the block length (chips evaluated per fork-join round); `0` is
@@ -237,7 +211,8 @@ impl<'ctx> StreamingLotExecutor<'ctx> {
             BLOCKS.incr();
             CHIPS.add(block as u64);
             let _timer = BLOCK_SPAN.start();
-            let shard_folds = self.runner.sharded_chunks(
+            let shard_folds = map_shards(
+                Some(self.context),
                 block,
                 ParallelLotRunner::MIN_ITEMS_PER_SHARD,
                 |range| {
@@ -349,11 +324,11 @@ mod tests {
             seed: 1981,
         };
         let checkpoints: Vec<usize> = (1..=coverage.pattern_count()).collect();
-        let runner = ParallelLotRunner::new().with_threads(2);
+        let context = ExecutionContext::new(2);
+        let runner = ParallelLotRunner::with_context(&context);
         let reference = runner.run_model_line(&config, &dictionary, &coverage);
         for block in [1, 7, 128, 1_000, 100_000] {
-            let streamed = StreamingLotExecutor::new()
-                .with_threads(2)
+            let streamed = StreamingLotExecutor::with_context(&context)
                 .with_block_len(block)
                 .stream_model_lot(&config, &dictionary, &coverage, &checkpoints);
             assert_eq!(streamed.chips, config.chips);
@@ -382,8 +357,13 @@ mod tests {
             fault_universe_size: universe,
             seed: 3,
         };
-        let streamed =
-            StreamingLotExecutor::new().stream_model_lot(&config, &dictionary, &coverage, &[1, 8]);
+        let context = ExecutionContext::new(0);
+        let streamed = StreamingLotExecutor::with_context(&context).stream_model_lot(
+            &config,
+            &dictionary,
+            &coverage,
+            &[1, 8],
+        );
         assert_eq!(streamed.chips, 0);
         assert_eq!(streamed.observed_yield, 0.0);
         assert_eq!(streamed.observed_n0, 0.0);
@@ -397,11 +377,12 @@ mod tests {
 
     #[test]
     fn block_length_is_clamped_and_reported() {
-        let executor = StreamingLotExecutor::new().with_block_len(0);
-        assert_eq!(executor.block_len(), 1);
+        let context = ExecutionContext::new(1);
+        let executor = StreamingLotExecutor::with_context(&context);
         assert_eq!(
-            StreamingLotExecutor::default().block_len(),
+            executor.block_len(),
             StreamingLotExecutor::DEFAULT_BLOCK_LEN
         );
+        assert_eq!(executor.with_block_len(0).block_len(), 1);
     }
 }

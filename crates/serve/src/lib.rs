@@ -45,7 +45,7 @@
 //! use lsiq_exec::RunConfig;
 //!
 //! let service = QueryService::new(
-//!     Session::new(RunConfig::default().with_engine_auto()),
+//!     Session::new(RunConfig::default()),
 //!     ArtifactStore::disabled(),
 //! );
 //! let request = JsonValue::parse(

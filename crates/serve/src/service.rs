@@ -28,7 +28,7 @@ use lsiq_bist::stumps::{StumpsConfig, StumpsGenerator};
 use lsiq_core::coverage_requirement::required_fault_coverage;
 use lsiq_core::params::{FaultCoverage, ModelParams, RejectRate, Yield};
 use lsiq_core::reject::field_reject_rate;
-use lsiq_exec::{ConfigError, MetricsMode, RunConfig, ENGINE_VAR};
+use lsiq_exec::{ConfigError, MetricsMode, RunConfig};
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_fault::universe::FaultUniverse;
@@ -163,21 +163,14 @@ impl QueryService {
 
     /// Opens a service from the environment: the `LSIQ_*` knobs through
     /// [`RunConfig::from_env`], the artifact directory through
-    /// `LSIQ_ARTIFACT_DIR`.  When `LSIQ_ENGINE` is unset the service
-    /// defaults to adaptive (`auto`) engine selection — it compiles
-    /// devices of very different sizes, so one fixed engine is rarely
-    /// right for all of them.
+    /// `LSIQ_ARTIFACT_DIR`.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when any knob is set to an invalid value.
     pub fn from_env() -> Result<QueryService, ConfigError> {
-        let mut config = RunConfig::from_env()?;
-        if std::env::var_os(ENGINE_VAR).is_none() {
-            config = config.with_engine_auto();
-        }
         Ok(QueryService::new(
-            Session::new(config),
+            Session::new(RunConfig::from_env()?),
             ArtifactStore::from_env()?,
         ))
     }

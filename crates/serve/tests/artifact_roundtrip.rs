@@ -34,7 +34,7 @@ fn c17_suite_artifact() -> (SuiteArtifact, u64) {
         podem_top_up: false,
         ..TestSuiteBuilder::default()
     };
-    let suite = builder.build(&circuit, &universe);
+    let suite = builder.build_cached(None, None, &circuit, &universe);
     let artifact = SuiteArtifact::from_parts(
         &suite.patterns,
         suite.deterministic_patterns,

@@ -7,14 +7,15 @@
 //! ("test application costs increase very rapidly" as coverage approaches
 //! 100 percent).
 //!
-//! The pass is engine-aware: [`reverse_order_compaction`] runs on the
-//! deductive engine (its per-pattern cost is independent of the shrinking
-//! fault-universe size, which makes it ~an order of magnitude faster here
-//! than the fault-injection engines), and
-//! [`reverse_order_compaction_configured`] accepts any [`EngineKind`] plus
-//! an [`EngineOptions`] bundle, so the incremental engine can run on a
-//! session's persistent worker pool.  Every engine produces byte-identical
-//! compaction results.
+//! That walk keeps exactly the *last* detecting pattern of every detected
+//! fault.  Walking backwards, the first pattern met that detects a fault is
+//! its last one, and no pattern kept before it (all later ones) detects that
+//! fault, so it is kept; conversely, a kept pattern detects some fault that
+//! no later pattern detects.  A fault's last detecting pattern is its first
+//! detecting pattern in reversed order, so [`reverse_order_compaction`] is
+//! one engine run over the reversed pattern set, on any [`EngineKind`] with
+//! any [`EngineOptions`] bundle, and the compacted set detects every fault
+//! the original set detects.
 
 use lsiq_fault::simulator::{BuildEngine, EngineKind, EngineOptions};
 use lsiq_fault::universe::FaultUniverse;
@@ -46,97 +47,39 @@ impl CompactionResult {
 }
 
 /// Compacts `patterns` against `universe` by reverse-order fault simulation
-/// on the default engine for this workload (deductive).
+/// in one run of `engine`, built with `options`: a worker pool (the
+/// incremental engine shards its simulation classes across it; the
+/// single-threaded engines run on the calling thread), a packed lane width,
+/// and optionally a shared
+/// [`GoodMachineCache`](lsiq_sim::cache::GoodMachineCache).  The kept
+/// patterns are identical for every engine and option combination.
 pub fn reverse_order_compaction(
-    circuit: &Circuit,
-    universe: &FaultUniverse,
-    patterns: &PatternSet,
-) -> CompactionResult {
-    reverse_order_compaction_configured(
-        circuit,
-        universe,
-        patterns,
-        EngineKind::Deductive,
-        &EngineOptions::default(),
-    )
-}
-
-/// Compacts `patterns` with an explicit engine and [`EngineOptions`]
-/// bundle: a worker pool (the incremental engine shards its simulation
-/// classes across it; the single-threaded engines run on the calling
-/// thread), a packed lane width, and optionally a shared
-/// [`GoodMachineCache`](lsiq_sim::cache::GoodMachineCache) so the full-set
-/// simulations at the start and end of the pass reuse good-machine chunks
-/// deposited by an earlier suite build or sweep over the same patterns.
-/// The kept patterns are identical for every engine and option
-/// combination.
-pub fn reverse_order_compaction_configured(
     circuit: &Circuit,
     universe: &FaultUniverse,
     patterns: &PatternSet,
     engine: EngineKind,
     options: &EngineOptions,
 ) -> CompactionResult {
-    let simulator = engine.build_configured(circuit, options);
-    let simulator = simulator.as_ref();
-    let original_list = simulator.run(universe, patterns);
-    let original_coverage = original_list.coverage();
-
-    // Walk patterns from last to first, keeping those that add detections.
-    let mut kept_reversed: Vec<usize> = Vec::new();
-    let mut detected = vec![false; universe.len()];
-    for index in original_list.undetected_indices() {
-        // Faults never detected by the full set can be ignored entirely.
-        detected[index] = true;
-    }
-
-    for pattern_index in (0..patterns.len()).rev() {
-        let single: PatternSet = [patterns
-            .get(pattern_index)
-            .expect("index is in range")
-            .clone()]
+    let reversed: PatternSet = patterns.iter().rev().cloned().collect();
+    let list = engine
+        .build_configured(circuit, options)
+        .run(universe, &reversed);
+    let mut kept: Vec<usize> = list
+        .first_detection_patterns()
         .into_iter()
+        .map(|first| patterns.len() - 1 - first)
         .collect();
-        let undetected_universe = FaultUniverse::from_faults(
-            universe
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !detected[*i])
-                .map(|(_, f)| *f)
-                .collect(),
-        );
-        if undetected_universe.is_empty() {
-            break;
-        }
-        let list = simulator.run(&undetected_universe, &single);
-        if list.detected_count() == 0 {
-            continue;
-        }
-        kept_reversed.push(pattern_index);
-        // Map detections back to the original universe indices.
-        let mut cursor = 0usize;
-        for is_detected in detected.iter_mut() {
-            if *is_detected {
-                continue;
-            }
-            if list.state(cursor).is_detected() {
-                *is_detected = true;
-            }
-            cursor += 1;
-        }
-    }
-
-    kept_reversed.reverse();
-    let compacted: PatternSet = kept_reversed
-        .into_iter()
-        .map(|i| patterns.get(i).expect("kept index is valid").clone())
-        .collect();
-    let compacted_coverage = simulator.run(universe, &compacted).coverage();
+    kept.sort_unstable();
+    kept.dedup();
+    let coverage = list.coverage();
     CompactionResult {
-        compacted,
+        compacted: kept
+            .into_iter()
+            .map(|index| patterns.get(index).expect("kept index is valid").clone())
+            .collect(),
         original_len: patterns.len(),
-        original_coverage,
-        compacted_coverage,
+        original_coverage: coverage,
+        compacted_coverage: coverage,
     }
 }
 
@@ -145,14 +88,149 @@ mod tests {
     use super::*;
     use crate::random::RandomPatternGenerator;
     use lsiq_exec::ExecutionContext;
+    use lsiq_netlist::generator::{random_circuit, RandomCircuitConfig};
     use lsiq_netlist::library;
+
+    /// Compaction on the deductive engine with default options.
+    fn compact(
+        circuit: &Circuit,
+        universe: &FaultUniverse,
+        patterns: &PatternSet,
+    ) -> CompactionResult {
+        reverse_order_compaction(
+            circuit,
+            universe,
+            patterns,
+            EngineKind::Deductive,
+            &EngineOptions::default(),
+        )
+    }
+
+    /// The reverse-order walk run literally: one engine run per pattern,
+    /// last to first, over a rebuilt universe of the faults no kept pattern
+    /// detects yet, then one more run to grade the compacted set.
+    fn per_pattern_oracle(
+        circuit: &Circuit,
+        universe: &FaultUniverse,
+        patterns: &PatternSet,
+    ) -> CompactionResult {
+        let simulator = EngineKind::Deductive.build_configured(circuit, &EngineOptions::default());
+        let original_list = simulator.run(universe, patterns);
+        let mut kept_reversed: Vec<usize> = Vec::new();
+        let mut detected = vec![false; universe.len()];
+        for index in original_list.undetected_indices() {
+            // Faults never detected by the full set can be ignored entirely.
+            detected[index] = true;
+        }
+        for pattern_index in (0..patterns.len()).rev() {
+            let single: PatternSet = [patterns.get(pattern_index).expect("in range").clone()]
+                .into_iter()
+                .collect();
+            let undetected_universe = FaultUniverse::from_faults(
+                universe
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| !detected[*i])
+                    .map(|(_, f)| *f)
+                    .collect(),
+            );
+            if undetected_universe.is_empty() {
+                break;
+            }
+            let list = simulator.run(&undetected_universe, &single);
+            if list.detected_count() == 0 {
+                continue;
+            }
+            kept_reversed.push(pattern_index);
+            // Map detections back to the original universe indices.
+            let mut cursor = 0usize;
+            for is_detected in detected.iter_mut() {
+                if *is_detected {
+                    continue;
+                }
+                if list.state(cursor).is_detected() {
+                    *is_detected = true;
+                }
+                cursor += 1;
+            }
+        }
+        kept_reversed.reverse();
+        let compacted: PatternSet = kept_reversed
+            .into_iter()
+            .map(|i| patterns.get(i).expect("kept index is valid").clone())
+            .collect();
+        let compacted_coverage = simulator.run(universe, &compacted).coverage();
+        CompactionResult {
+            compacted,
+            original_len: patterns.len(),
+            original_coverage: original_list.coverage(),
+            compacted_coverage,
+        }
+    }
+
+    #[test]
+    fn one_reversed_run_matches_the_per_pattern_walk() {
+        // 43 circuits × 2 universes × 5 pattern counts = 430 cases, on the
+        // production engine against the literal walk on the deductive one.
+        let mut circuits = vec![library::c17(), library::full_adder(), library::alu4()];
+        for seed in 0..40u64 {
+            circuits.push(random_circuit(&RandomCircuitConfig {
+                inputs: 4 + (seed as usize % 9),
+                gates: 20 + (seed as usize * 7) % 60,
+                seed: 1_000 + seed,
+                ..RandomCircuitConfig::default()
+            }));
+        }
+        let mut cases = 0;
+        let mut shrunk = 0;
+        for (index, circuit) in circuits.iter().enumerate() {
+            let full = FaultUniverse::full(circuit);
+            let every_third = FaultUniverse::from_faults(full.iter().step_by(3).copied().collect());
+            for universe in [&full, &every_third] {
+                for count in [0, 1, 7, 64, 150] {
+                    let patterns =
+                        RandomPatternGenerator::new(circuit, 17 + index as u64).generate(count);
+                    let oracle = per_pattern_oracle(circuit, universe, &patterns);
+                    let result = reverse_order_compaction(
+                        circuit,
+                        universe,
+                        &patterns,
+                        EngineKind::default(),
+                        &EngineOptions::default(),
+                    );
+                    let label = format!(
+                        "circuit {index}, {} faults, {count} patterns",
+                        universe.len()
+                    );
+                    assert_eq!(
+                        result.compacted.as_slice(),
+                        oracle.compacted.as_slice(),
+                        "{label}"
+                    );
+                    assert_eq!(result.original_len, oracle.original_len, "{label}");
+                    assert_eq!(
+                        result.original_coverage, oracle.original_coverage,
+                        "{label}"
+                    );
+                    assert_eq!(
+                        result.compacted_coverage, oracle.compacted_coverage,
+                        "{label}"
+                    );
+                    cases += 1;
+                    shrunk += usize::from(result.compacted.len() < count);
+                }
+            }
+        }
+        assert_eq!(cases, 430);
+        assert!(shrunk > 100, "only {shrunk} cases compacted anything");
+    }
 
     #[test]
     fn compaction_preserves_coverage() {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns = RandomPatternGenerator::new(&circuit, 11).generate(200);
-        let result = reverse_order_compaction(&circuit, &universe, &patterns);
+        let result = compact(&circuit, &universe, &patterns);
         assert!(
             (result.compacted_coverage - result.original_coverage).abs() < 1e-12,
             "coverage changed: {} vs {}",
@@ -168,7 +246,7 @@ mod tests {
         let universe = FaultUniverse::full(&circuit);
         // 200 random patterns over 5 inputs are heavily redundant.
         let patterns = RandomPatternGenerator::new(&circuit, 3).generate(200);
-        let result = reverse_order_compaction(&circuit, &universe, &patterns);
+        let result = compact(&circuit, &universe, &patterns);
         assert!(
             result.compacted.len() < 40,
             "expected strong compaction, kept {}",
@@ -181,7 +259,7 @@ mod tests {
     fn empty_pattern_set_is_handled() {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
-        let result = reverse_order_compaction(&circuit, &universe, &PatternSet::new());
+        let result = compact(&circuit, &universe, &PatternSet::new());
         assert_eq!(result.compacted.len(), 0);
         assert_eq!(result.ratio(), 1.0);
         assert_eq!(result.original_coverage, 0.0);
@@ -192,7 +270,7 @@ mod tests {
         let circuit = library::full_adder();
         let universe = FaultUniverse::full(&circuit);
         let patterns = RandomPatternGenerator::new(&circuit, 9).generate(50);
-        let result = reverse_order_compaction(&circuit, &universe, &patterns);
+        let result = compact(&circuit, &universe, &patterns);
         // Every kept pattern must appear in the original set, in order.
         let mut search_from = 0usize;
         for kept in result.compacted.iter() {
@@ -208,9 +286,9 @@ mod tests {
         let circuit = library::full_adder();
         let universe = FaultUniverse::full(&circuit);
         let patterns = RandomPatternGenerator::new(&circuit, 21).generate(60);
-        let reference = reverse_order_compaction(&circuit, &universe, &patterns);
+        let reference = compact(&circuit, &universe, &patterns);
         for engine in EngineKind::ALL {
-            let result = reverse_order_compaction_configured(
+            let result = reverse_order_compaction(
                 &circuit,
                 &universe,
                 &patterns,
@@ -235,28 +313,30 @@ mod tests {
         let circuit = library::alu4();
         let universe = FaultUniverse::full(&circuit);
         let patterns = RandomPatternGenerator::new(&circuit, 13).generate(120);
-        let reference = reverse_order_compaction(&circuit, &universe, &patterns);
+        let reference = compact(&circuit, &universe, &patterns);
         let cache = GoodMachineCache::new();
         for lanes in LaneWidth::EXPLICIT {
-            let result = reverse_order_compaction_configured(
-                &circuit,
-                &universe,
-                &patterns,
-                EngineKind::Incremental,
-                &EngineOptions {
-                    lanes,
-                    cache: Some(&cache),
-                    ..EngineOptions::default()
-                },
-            );
-            assert_eq!(
-                result.compacted.as_slice(),
-                reference.compacted.as_slice(),
-                "{lanes}"
-            );
+            // Twice per width: the first pass deposits the good machine of
+            // the reversed set in the cache, the second replays it.
+            for _ in 0..2 {
+                let result = reverse_order_compaction(
+                    &circuit,
+                    &universe,
+                    &patterns,
+                    EngineKind::Incremental,
+                    &EngineOptions {
+                        lanes,
+                        cache: Some(&cache),
+                        ..EngineOptions::default()
+                    },
+                );
+                assert_eq!(
+                    result.compacted.as_slice(),
+                    reference.compacted.as_slice(),
+                    "{lanes}"
+                );
+            }
         }
-        // Three lane-width passes over the same full pattern set: the good
-        // machine is deposited in the cache and replayed from it.
         assert!(cache.hits() > 0);
         assert!(cache.misses() > 0);
     }
@@ -266,10 +346,10 @@ mod tests {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let patterns = RandomPatternGenerator::new(&circuit, 5).generate(80);
-        let reference = reverse_order_compaction(&circuit, &universe, &patterns);
+        let reference = compact(&circuit, &universe, &patterns);
         for workers in [1, 3] {
             let context = ExecutionContext::new(workers);
-            let result = reverse_order_compaction_configured(
+            let result = reverse_order_compaction(
                 &circuit,
                 &universe,
                 &patterns,

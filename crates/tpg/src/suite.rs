@@ -12,7 +12,7 @@ use lsiq_fault::collapse::collapse_equivalence;
 use lsiq_fault::coverage::CoverageCurve;
 use lsiq_fault::dictionary::FaultDictionary;
 use lsiq_fault::list::FaultList;
-use lsiq_fault::simulator::{BuildEngine, EngineKind, EngineOptions, FaultSimulator};
+use lsiq_fault::simulator::{BuildEngine, EngineKind, EngineOptions};
 use lsiq_fault::universe::FaultUniverse;
 use lsiq_netlist::circuit::Circuit;
 use lsiq_sim::cache::GoodMachineCache;
@@ -34,7 +34,7 @@ use lsiq_sim::pattern::PatternSet;
 ///     target_coverage: 0.9,
 ///     ..TestSuiteBuilder::default()
 /// }
-/// .build(&circuit, &universe);
+/// .build_cached(None, None, &circuit, &universe);
 /// assert!(suite.coverage() >= 0.9);
 /// // The dictionary records every fault's first failing pattern — the raw
 /// // material of the paper's Table 1.
@@ -129,30 +129,15 @@ impl TestSuiteBuilder {
 
     /// Builds an ordered test suite for `circuit` against `universe`, fault
     /// simulating with the configured [`engine`](TestSuiteBuilder::engine).
-    pub fn build(&self, circuit: &Circuit, universe: &FaultUniverse) -> TestSuite {
-        self.build_cached(None, None, circuit, universe)
-    }
-
-    /// Builds the suite with the configured engine executing on `context`'s
-    /// persistent worker pool (single-threaded engines simply run on the
-    /// calling thread).  Results are byte-identical to [`build`](Self::build)
-    /// at any worker count.
-    pub fn build_in(
-        &self,
-        context: &ExecutionContext,
-        circuit: &Circuit,
-        universe: &FaultUniverse,
-    ) -> TestSuite {
-        self.build_cached(Some(context), None, circuit, universe)
-    }
-
-    /// Builds the suite with every run-level resource made explicit: an
-    /// optional persistent worker pool and an optional shared
-    /// [`GoodMachineCache`].  The suite build re-simulates a growing
-    /// pattern set — each iteration re-evaluates every chunk it has already
-    /// seen — so the incremental engine recovers the fault-free simulation of
-    /// all previous chunks from the cache.  Results are byte-identical with
-    /// or without either resource.
+    ///
+    /// Both run-level resources are optional: `context` is the persistent
+    /// worker pool the incremental engine shards its simulation classes
+    /// across (`None` runs on the caller), and `cache` a shared
+    /// [`GoodMachineCache`].  The suite build re-simulates a growing pattern
+    /// set — each iteration re-evaluates every chunk it has already seen —
+    /// so the incremental engine recovers the fault-free simulation of all
+    /// previous chunks from the cache.  Results are byte-identical with or
+    /// without either resource, at any worker count.
     pub fn build_cached(
         &self,
         context: Option<&ExecutionContext>,
@@ -166,21 +151,7 @@ impl TestSuiteBuilder {
             cache,
             ..EngineOptions::default()
         };
-        self.build_with(
-            self.engine.build_configured(circuit, &options).as_ref(),
-            circuit,
-            universe,
-        )
-    }
-
-    /// Builds an ordered test suite using a caller-supplied fault-simulation
-    /// engine (any [`FaultSimulator`]).
-    pub fn build_with(
-        &self,
-        simulator: &dyn FaultSimulator,
-        circuit: &Circuit,
-        universe: &FaultUniverse,
-    ) -> TestSuite {
+        let simulator = self.engine.build_configured(circuit, &options);
         let mut generator = RandomPatternGenerator::new(circuit, self.seed);
         let mut patterns = PatternSet::new();
 
@@ -255,7 +226,7 @@ mod tests {
     fn suite_reaches_high_coverage_on_c17() {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
-        let suite = TestSuiteBuilder::default().build(&circuit, &universe);
+        let suite = TestSuiteBuilder::default().build_cached(None, None, &circuit, &universe);
         assert!(suite.coverage() >= 0.95, "coverage {}", suite.coverage());
         assert_eq!(suite.coverage_curve.pattern_count(), suite.patterns.len());
         assert_eq!(suite.dictionary.len(), universe.len());
@@ -277,8 +248,8 @@ mod tests {
             podem_top_up: true,
             ..TestSuiteBuilder::default()
         };
-        let random_only = few_random.build(&circuit, &universe);
-        let topped_up = with_top_up.build(&circuit, &universe);
+        let random_only = few_random.build_cached(None, None, &circuit, &universe);
+        let topped_up = with_top_up.build_cached(None, None, &circuit, &universe);
         assert!(topped_up.coverage() > random_only.coverage());
         assert!(topped_up.deterministic_patterns > 0);
         assert_eq!(random_only.deterministic_patterns, 0);
@@ -290,13 +261,13 @@ mod tests {
         // identical patterns, identical detection results.
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
-        let reference = TestSuiteBuilder::default().build(&circuit, &universe);
+        let reference = TestSuiteBuilder::default().build_cached(None, None, &circuit, &universe);
         for engine in EngineKind::ALL {
             let suite = TestSuiteBuilder {
                 engine,
                 ..TestSuiteBuilder::default()
             }
-            .build(&circuit, &universe);
+            .build_cached(None, None, &circuit, &universe);
             assert_eq!(
                 suite.patterns.as_slice(),
                 reference.patterns.as_slice(),
@@ -308,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn run_config_sets_the_engine_and_build_in_matches_build() {
+    fn run_config_sets_the_engine_and_pooled_builds_match_inline_ones() {
         let circuit = library::c17();
         let universe = FaultUniverse::full(&circuit);
         let config = RunConfig::default()
@@ -320,10 +291,11 @@ mod tests {
         assert_eq!(builder.lanes, LaneWidth::X8);
         assert_eq!(builder.seed, TestSuiteBuilder::default().seed);
 
-        let reference = TestSuiteBuilder::default().build(&circuit, &universe);
+        let reference = TestSuiteBuilder::default().build_cached(None, None, &circuit, &universe);
         for workers in [1, 3] {
             let context = ExecutionContext::new(workers);
-            let suite = TestSuiteBuilder::default().build_in(&context, &circuit, &universe);
+            let suite =
+                TestSuiteBuilder::default().build_cached(Some(&context), None, &circuit, &universe);
             assert_eq!(suite.patterns.as_slice(), reference.patterns.as_slice());
             assert_eq!(
                 suite.fault_list, reference.fault_list,
@@ -342,12 +314,13 @@ mod tests {
             FaultUniverse::full(&circuit),
             FaultUniverse::checkpoint(&circuit),
         ] {
-            let collapsed = TestSuiteBuilder::default().build(&circuit, &universe);
+            let collapsed =
+                TestSuiteBuilder::default().build_cached(None, None, &circuit, &universe);
             let raw = TestSuiteBuilder {
                 collapse: false,
                 ..TestSuiteBuilder::default()
             }
-            .build(&circuit, &universe);
+            .build_cached(None, None, &circuit, &universe);
             assert_eq!(collapsed.patterns.as_slice(), raw.patterns.as_slice());
             assert_eq!(collapsed.fault_list, raw.fault_list);
             assert_eq!(collapsed.coverage_curve, raw.coverage_curve);
@@ -364,12 +337,12 @@ mod tests {
             target_coverage: 1.0,
             ..TestSuiteBuilder::default()
         };
-        let collapsed = starved.build(&circuit, &universe);
+        let collapsed = starved.build_cached(None, None, &circuit, &universe);
         let raw = TestSuiteBuilder {
             collapse: false,
             ..starved
         }
-        .build(&circuit, &universe);
+        .build_cached(None, None, &circuit, &universe);
         assert!(collapsed.deterministic_patterns > 0);
         assert_eq!(collapsed.patterns.as_slice(), raw.patterns.as_slice());
         assert_eq!(collapsed.fault_list, raw.fault_list);
@@ -380,14 +353,14 @@ mod tests {
     fn lane_widths_and_the_shared_cache_build_the_same_suite() {
         let circuit = library::alu4();
         let universe = FaultUniverse::full(&circuit);
-        let reference = TestSuiteBuilder::default().build(&circuit, &universe);
+        let reference = TestSuiteBuilder::default().build_cached(None, None, &circuit, &universe);
         for lanes in LaneWidth::EXPLICIT {
             let suite = TestSuiteBuilder {
                 engine: EngineKind::Incremental,
                 lanes,
                 ..TestSuiteBuilder::default()
             }
-            .build(&circuit, &universe);
+            .build_cached(None, None, &circuit, &universe);
             assert_eq!(
                 suite.patterns.as_slice(),
                 reference.patterns.as_slice(),
@@ -408,7 +381,7 @@ mod tests {
             lanes: LaneWidth::X1,
             ..TestSuiteBuilder::default()
         };
-        let plain = growing.build(&circuit, &universe);
+        let plain = growing.build_cached(None, None, &circuit, &universe);
         let cache = GoodMachineCache::new();
         let cached = growing.build_cached(None, Some(&cache), &circuit, &universe);
         assert_eq!(cached.patterns.as_slice(), plain.patterns.as_slice());
@@ -422,7 +395,7 @@ mod tests {
     fn coverage_curve_is_monotone() {
         let circuit = library::full_adder();
         let universe = FaultUniverse::full(&circuit);
-        let suite = TestSuiteBuilder::default().build(&circuit, &universe);
+        let suite = TestSuiteBuilder::default().build_cached(None, None, &circuit, &universe);
         let mut previous = 0.0;
         for (_, coverage) in suite.coverage_curve.points() {
             assert!(coverage + 1e-15 >= previous);
@@ -441,7 +414,7 @@ mod tests {
             podem_top_up: false,
             ..TestSuiteBuilder::default()
         };
-        let suite = builder.build(&circuit, &universe);
+        let suite = builder.build_cached(None, None, &circuit, &universe);
         assert!(suite.patterns.len() <= 8);
     }
 }

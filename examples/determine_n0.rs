@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         target_coverage: 0.99,
         ..TestSuiteBuilder::default()
     }
-    .build(&circuit, &universe);
+    .build_cached(None, None, &circuit, &universe);
     println!(
         "pattern set: {} patterns, final coverage {:.1}%",
         suite.patterns.len(),

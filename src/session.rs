@@ -181,8 +181,9 @@ impl Session {
     /// The session's shared good-machine cache.  Every chunked
     /// fault-simulation stage the session runs — suite builds, signature
     /// sweeps — deposits and reuses fault-free chunk images here; hand it
-    /// to [`TestSuiteBuilder::build_cached`] or
-    /// [`reverse_order_compaction_configured`](lsiq_tpg::compaction::reverse_order_compaction_configured)
+    /// to [`TestSuiteBuilder::build_cached`] or, inside
+    /// [`EngineOptions`](lsiq_fault::simulator::EngineOptions), to
+    /// [`reverse_order_compaction`](lsiq_tpg::compaction::reverse_order_compaction)
     /// to join an external stage to the same pool.
     pub fn good_machine_cache(&self) -> &GoodMachineCache {
         &self.cache
@@ -204,8 +205,8 @@ impl Session {
         ParallelLotRunner::with_context(&self.context)
     }
 
-    /// A suite builder carrying the session's engine choice; pair it with
-    /// [`TestSuiteBuilder::build_in`] and [`Session::context`] to fault
+    /// A suite builder carrying the session's engine choice; pass
+    /// [`Session::context`] to [`TestSuiteBuilder::build_cached`] to fault
     /// simulate on the session's pool.
     pub fn suite_builder(&self) -> TestSuiteBuilder {
         TestSuiteBuilder::default().with_run_config(&self.config)
@@ -404,7 +405,7 @@ impl Session {
     /// signatures are computed on the session's worker pool in exactly one
     /// fault-simulation pass at the maximum length, shared across every
     /// test length *and* signature width of the grid
-    /// ([`SignatureDictionary::build_sweep_in`]).
+    /// ([`SignatureDictionary::build_sweep_cached`]).
     ///
     /// With scan chains configured the sweep runs the full-scan BIST flow
     /// on the sequential reproduction device's capture-mode test view, scan

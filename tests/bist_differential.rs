@@ -13,14 +13,16 @@
 
 use lsi_quality::bist::signature::{BistPlan, SignatureDictionary};
 use lsi_quality::bist::stumps::{StumpsConfig, StumpsGenerator};
-use lsi_quality::exec::{EngineKind, ExecutionContext, RunConfig, TestMode};
+use lsi_quality::exec::{EngineKind, ExecutionContext, LaneWidth, RunConfig, TestMode};
 use lsi_quality::fault::universe::FaultUniverse;
 use lsi_quality::manufacturing::bist_test::SignatureTester;
 use lsi_quality::manufacturing::lot::{ChipLot, ModelLotConfig};
 use lsi_quality::manufacturing::pipeline::ParallelLotRunner;
+use lsi_quality::netlist::circuit::Circuit;
 use lsi_quality::netlist::generator::pipelined_datapath;
 use lsi_quality::netlist::library;
 use lsi_quality::netlist::scan::insert_scan;
+use lsi_quality::sim::pattern::PatternSet;
 use lsi_quality::tpg::suite::TestSuiteBuilder;
 use lsi_quality::{BistSweepSpec, LineSpec, Session};
 
@@ -32,6 +34,29 @@ fn cores() -> usize {
 
 fn worker_ladder() -> [usize; 3] {
     [1, 2, 2 * cores()]
+}
+
+/// One signature dictionary over the whole pattern set, on `context`.
+fn build_dictionary(
+    context: &ExecutionContext,
+    circuit: &Circuit,
+    universe: &FaultUniverse,
+    patterns: &PatternSet,
+    plan: &BistPlan,
+) -> SignatureDictionary {
+    SignatureDictionary::build_sweep_cached(
+        context,
+        circuit,
+        universe,
+        patterns,
+        plan.session_len,
+        &[plan.signature_width],
+        &[patterns.len()],
+        LaneWidth::Auto,
+        None,
+    )
+    .swap_remove(0)
+    .swap_remove(0)
 }
 
 #[test]
@@ -47,7 +72,7 @@ fn signature_dictionary_is_worker_count_invariant() {
         session_len: 32,
         signature_width: 8,
     };
-    let reference = SignatureDictionary::build_in(
+    let reference = build_dictionary(
         &ExecutionContext::new(1),
         &circuit,
         &universe,
@@ -58,8 +83,7 @@ fn signature_dictionary_is_worker_count_invariant() {
         let context = ExecutionContext::new(workers);
         // Two builds per context: the pool is reused, not respawned.
         for _ in 0..2 {
-            let dictionary =
-                SignatureDictionary::build_in(&context, &circuit, &universe, &patterns, &plan);
+            let dictionary = build_dictionary(&context, &circuit, &universe, &patterns, &plan);
             assert_eq!(reference, dictionary, "workers = {workers}");
         }
     }
@@ -72,7 +96,8 @@ fn signature_tester_lot_outcomes_are_worker_count_invariant() {
     let patterns =
         StumpsGenerator::new(&StumpsConfig::with_width(circuit.primary_inputs().len(), 7))
             .generate(96);
-    let dictionary = SignatureDictionary::build(
+    let dictionary = build_dictionary(
+        &ExecutionContext::new(0),
         &circuit,
         &universe,
         &patterns,
@@ -91,12 +116,12 @@ fn signature_tester_lot_outcomes_are_worker_count_invariant() {
     let serial = SignatureTester::new(&dictionary).test_lot(&lot);
     for workers in worker_ladder() {
         let context = ExecutionContext::new(workers);
-        let records = ParallelLotRunner::with_context(&context).test_lot_bist(&dictionary, &lot);
-        assert_eq!(serial, records, "workers = {workers}");
-        let explicit = ParallelLotRunner::new()
-            .with_threads(workers)
-            .test_lot_bist(&dictionary, &lot);
-        assert_eq!(serial, explicit, "threads = {workers}");
+        let runner = ParallelLotRunner::with_context(&context);
+        // Two lots per context: the pool is reused, not respawned.
+        for _ in 0..2 {
+            let records = runner.test_lot_bist(&dictionary, &lot);
+            assert_eq!(serial, records, "workers = {workers}");
+        }
     }
 }
 
@@ -124,8 +149,14 @@ fn suite_driven_bist_outcomes_are_engine_invariant() {
             engine,
             ..TestSuiteBuilder::default()
         }
-        .build(&circuit, &universe);
-        let dictionary = SignatureDictionary::build(&circuit, &universe, &suite.patterns, &plan);
+        .build_cached(None, None, &circuit, &universe);
+        let dictionary = build_dictionary(
+            &ExecutionContext::new(0),
+            &circuit,
+            &universe,
+            &suite.patterns,
+            &plan,
+        );
         let lot = ChipLot::from_model(&lot_config);
         let records = SignatureTester::new(&dictionary).test_lot(&lot);
         match &reference {
@@ -145,7 +176,6 @@ fn signature_sweep_is_lane_and_cache_invariant_across_the_worker_ladder() {
     // signatures, first-failure patterns, session snapshots — must be
     // byte-identical at lanes 1, 4 and 8, at every worker count, and with
     // a shared GoodMachineCache replaying the fault-free simulation.
-    use lsi_quality::exec::LaneWidth;
     use lsi_quality::sim::cache::GoodMachineCache;
 
     let circuit = library::alu4();
@@ -157,7 +187,7 @@ fn signature_sweep_is_lane_and_cache_invariant_across_the_worker_ladder() {
     .generate(160);
     let widths = [8u32, 16];
     let lengths = [48usize, 100, 160];
-    let reference = SignatureDictionary::build_sweep_in(
+    let reference = SignatureDictionary::build_sweep_cached(
         &ExecutionContext::new(1),
         &circuit,
         &universe,
@@ -165,6 +195,8 @@ fn signature_sweep_is_lane_and_cache_invariant_across_the_worker_ladder() {
         32,
         &widths,
         &lengths,
+        LaneWidth::Auto,
+        None,
     );
     let cache = GoodMachineCache::new();
     for lanes in LaneWidth::EXPLICIT {

@@ -11,7 +11,7 @@
 use lsi_quality::bist::aliasing::AliasingReport;
 use lsi_quality::bist::signature::SignatureDictionary;
 use lsi_quality::bist::stumps::{StumpsConfig, StumpsGenerator};
-use lsi_quality::exec::ExecutionContext;
+use lsi_quality::exec::{ExecutionContext, LaneWidth};
 use lsi_quality::fault::dictionary::FaultDictionary;
 use lsi_quality::fault::incremental::IncrementalSimulator;
 use lsi_quality::fault::simulator::FaultSimulator;
@@ -45,14 +45,18 @@ fn empirical_aliasing_tracks_the_two_to_minus_k_estimate() {
     // One session spanning the whole test: every detected fault gets exactly
     // one readout, so the per-fault aliasing probability is directly
     // comparable to the per-readout 2^-k estimate.
-    let dictionaries = SignatureDictionary::build_many_in(
+    let dictionaries = SignatureDictionary::build_sweep_cached(
         &context,
         &circuit,
         &universe,
         &patterns,
         patterns.len(),
         &[4, 8, 16],
-    );
+        &[patterns.len()],
+        LaneWidth::Auto,
+        None,
+    )
+    .swap_remove(0);
 
     // Golden numbers (pinned): 476 faults, 466 detected by the pattern set.
     assert_eq!(universe.len(), 476);
@@ -90,7 +94,6 @@ fn empirical_aliasing_tracks_the_two_to_minus_k_estimate() {
 
 #[test]
 fn aliasing_goldens_hold_at_every_lane_width() {
-    use lsi_quality::exec::LaneWidth;
     use lsi_quality::sim::cache::GoodMachineCache;
 
     // The same single-session programme as the golden test above, built at
@@ -147,16 +150,19 @@ fn signature_sessions_never_precede_response_differences() {
     let (circuit, universe, patterns) = fixture();
     let context = ExecutionContext::new(2);
     let session_len = 16;
-    let signatures = SignatureDictionary::build_many_in(
+    let signatures = SignatureDictionary::build_sweep_cached(
         &context,
         &circuit,
         &universe,
         &patterns,
         session_len,
         &[16],
+        &[patterns.len()],
+        LaneWidth::Auto,
+        None,
     )
-    .pop()
-    .expect("one width");
+    .swap_remove(0)
+    .swap_remove(0);
     let list = IncrementalSimulator::new(&circuit).run(&universe, &patterns);
     let responses = FaultDictionary::from_fault_list(&list);
 

@@ -165,7 +165,7 @@ fn engines_agree_on_seeded_random_cases() {
             // Keep a pulse on test strength: the sweep must actually detect
             // faults, not vacuously compare empty lists.
             let detected = EngineKind::Deductive
-                .build(&case.circuit)
+                .build_configured(&case.circuit, &EngineOptions::default())
                 .run(&universe, &case.patterns)
                 .detected_count();
             if detected > 0 {
@@ -224,7 +224,7 @@ fn engines_agree_on_scan_expanded_sequential_devices() {
         assert!(!scan_path.is_empty());
         assert_engines_identical(&case, "scan-path", &scan_path);
         let reference = EngineKind::Serial
-            .build(&case.circuit)
+            .build_configured(&case.circuit, &EngineOptions::default())
             .run(&scan_path, &case.patterns);
         assert!(
             reference.detected_count() > 0,
@@ -256,7 +256,7 @@ fn incremental_engine_on_explicit_contexts_matches_the_reference() {
         let case = build_case(index);
         let universe = FaultUniverse::full(&case.circuit);
         let reference = EngineKind::Serial
-            .build(&case.circuit)
+            .build_configured(&case.circuit, &EngineOptions::default())
             .run(&universe, &case.patterns);
         for context in &contexts {
             let pooled = IncrementalSimulator::new(&case.circuit)
@@ -348,7 +348,7 @@ fn lane_widths_and_the_cache_are_invisible_at_every_worker_count() {
         let case = build_case(index);
         let universe = FaultUniverse::full(&case.circuit);
         let reference = EngineKind::Serial
-            .build(&case.circuit)
+            .build_configured(&case.circuit, &EngineOptions::default())
             .run(&universe, &case.patterns);
         let cache = GoodMachineCache::new();
         for lanes in LaneWidth::EXPLICIT {
@@ -392,13 +392,13 @@ fn coverage_curve_default_impl_is_engine_invariant() {
     let case = build_case(3);
     let universe = FaultUniverse::full(&case.circuit);
     let reference = EngineKind::Serial
-        .build(&case.circuit)
+        .build_configured(&case.circuit, &EngineOptions::default())
         .coverage_curve(&universe, &case.patterns);
     assert_eq!(reference.pattern_count(), case.patterns.len());
     assert!(reference.final_coverage() > 0.0, "vacuous case");
     for kind in EngineKind::ALL {
         let curve = kind
-            .build(&case.circuit)
+            .build_configured(&case.circuit, &EngineOptions::default())
             .coverage_curve(&universe, &case.patterns);
         assert_eq!(reference, curve, "{kind}");
     }
@@ -413,7 +413,7 @@ fn engines_agree_on_degenerate_inputs() {
     let case = build_case(0);
     let universe = FaultUniverse::full(&case.circuit);
     for kind in EngineKind::ALL {
-        let engine = kind.build(&case.circuit);
+        let engine = kind.build_configured(&case.circuit, &EngineOptions::default());
         let no_patterns = engine.run(&universe, &PatternSet::new());
         assert_eq!(no_patterns.detected_count(), 0, "{}", kind.name());
         let no_faults = engine.run(&FaultUniverse::from_faults(Vec::new()), &case.patterns);

@@ -109,7 +109,8 @@ fn parallel_pipeline_is_byte_identical_to_serial() {
     let checkpoints: Vec<usize> = (1..=300).collect();
     for index in 0..CASES {
         let case = build_case(index);
-        let runner = ParallelLotRunner::new().with_threads(case.threads);
+        let context = ExecutionContext::new(case.threads);
+        let runner = ParallelLotRunner::with_context(&context);
 
         // Model lot: generation, test, field outcome, reject table.
         let model_config = ModelLotConfig {
@@ -285,22 +286,31 @@ fn sweep_fan_out_is_byte_identical_to_serial() {
             chips: 80,
             fault_universe_size: universe_size,
             base_seed: rng.next_u64(),
-            threads: 1,
             context: None,
         };
-        let serial = base.run(&dictionary, &coverage, &points);
+        let single = ExecutionContext::new(1);
+        let serial = base
+            .with_context(&single)
+            .run(&dictionary, &coverage, &points);
+        // Without a context the lots run one after another on the caller.
+        assert_eq!(
+            serial,
+            base.run(&dictionary, &coverage, &points),
+            "sweep seed {suite_seed}, inline"
+        );
         for threads in [2, 4, 16] {
-            let fanned = LotSweep { threads, ..base }.run(&dictionary, &coverage, &points);
+            let context = ExecutionContext::new(threads);
+            let fanned = base
+                .with_context(&context)
+                .run(&dictionary, &coverage, &points);
             assert_eq!(serial, fanned, "sweep seed {suite_seed}, {threads} threads");
         }
         // The same grid fanned over persistent pools (the Session path).
         for workers in [2, 5] {
             let context = ExecutionContext::new(workers);
-            let pooled = LotSweep { threads: 0, ..base }.with_context(&context).run(
-                &dictionary,
-                &coverage,
-                &points,
-            );
+            let pooled = base
+                .with_context(&context)
+                .run(&dictionary, &coverage, &points);
             assert_eq!(serial, pooled, "sweep seed {suite_seed}, {workers} workers");
         }
     }

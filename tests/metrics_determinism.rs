@@ -158,7 +158,8 @@ fn recording_never_changes_lot_results() {
         fault_universe_size: universe.len(),
         seed: 1981,
     };
-    let runner = ParallelLotRunner::new().with_threads(4);
+    let context = ExecutionContext::new(4);
+    let runner = ParallelLotRunner::with_context(&context);
 
     obs::set_mode(MetricsMode::Off);
     let lot_off = ChipLot::from_model(&config);

@@ -238,7 +238,7 @@ fn golden_fault_simulation_pipeline_on_alu4() {
         podem_top_up: false,
         ..TestSuiteBuilder::default()
     }
-    .build(&circuit, &universe);
+    .build_cached(None, None, &circuit, &universe);
     assert_eq!(universe.len(), 476);
     assert_eq!(suite.patterns.len(), 64);
     assert_eq!(suite.fault_list.detected_count(), 461);
@@ -290,7 +290,7 @@ fn golden_fault_simulation_pipeline_is_lane_invariant() {
             lanes,
             ..TestSuiteBuilder::default()
         }
-        .build(&circuit, &universe);
+        .build_cached(None, None, &circuit, &universe);
         assert_eq!(suite.patterns.len(), 64, "lanes = {lanes}");
         assert_eq!(suite.fault_list.detected_count(), 461, "lanes = {lanes}");
         let curve_coverage_after = |patterns: usize| {

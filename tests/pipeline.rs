@@ -41,7 +41,7 @@ fn run_pipeline(
         max_random_patterns: 1024,
         ..TestSuiteBuilder::default()
     }
-    .build(&circuit, &universe);
+    .build_cached(None, None, &circuit, &universe);
 
     // Truncate the suite to the requested prefix.
     let truncated: lsi_quality::sim::pattern::PatternSet = suite

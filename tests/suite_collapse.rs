@@ -23,7 +23,7 @@ fn collapsed_suite_coverages_match_the_golden_values() {
     ];
     for (name, circuit, patterns, detected, coverage) in cases {
         let universe = FaultUniverse::full(&circuit);
-        let suite = TestSuiteBuilder::default().build(&circuit, &universe);
+        let suite = TestSuiteBuilder::default().build_cached(None, None, &circuit, &universe);
         assert_eq!(suite.patterns.len(), patterns, "{name}");
         assert_eq!(suite.fault_list.detected_count(), detected, "{name}");
         assert!(
@@ -61,15 +61,16 @@ fn collapse_on_and_off_agree_on_every_engine() {
             engine: EngineKind::Deductive,
             ..builder
         }
-        .build(circuit, &universe);
+        .build_cached(None, None, circuit, &universe);
         for &engine in engines {
-            let collapsed = TestSuiteBuilder { engine, ..builder }.build(circuit, &universe);
+            let collapsed =
+                TestSuiteBuilder { engine, ..builder }.build_cached(None, None, circuit, &universe);
             let raw = TestSuiteBuilder {
                 engine,
                 collapse: false,
                 ..builder
             }
-            .build(circuit, &universe);
+            .build_cached(None, None, circuit, &universe);
             for suite in [&collapsed, &raw] {
                 assert_eq!(suite.patterns, oracle.patterns, "{name}/{engine}");
                 assert_eq!(suite.fault_list, oracle.fault_list, "{name}/{engine}");
